@@ -88,20 +88,14 @@ def softmax(logits: Tensor, axis: int = -1,
         Normalisation axis.
     mask:
         Optional boolean array, ``True`` where positions are *valid*.
-        Invalid positions get probability exactly zero; gradients do not
-        flow through them.  Slices with no valid position produce an
-        all-zero output (not NaN), matching :func:`masked_softmax`.
+        A masked softmax is exactly :func:`masked_softmax`: the shift
+        point is the maximum over valid positions only, so a dominant
+        masked logit cannot underflow the valid ones.
     """
+    if mask is not None:
+        return masked_softmax(logits, mask, axis=axis)
     shifted = logits - Tensor(logits.data.max(axis=axis, keepdims=True))
     exp = shifted.exp()
-    if mask is not None:
-        mask_arr = np.asarray(mask, dtype=bool)
-        exp = exp * Tensor(mask_arr.astype(np.float64))
-        # +1 in the denominator of empty slices only: 0/1 = 0 there,
-        # and adding 0.0 leaves every non-empty slice bit-identical.
-        empty = (~mask_arr).all(axis=axis, keepdims=True)
-        return exp / (exp.sum(axis=axis, keepdims=True)
-                      + Tensor(empty.astype(np.float64)))
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
@@ -124,12 +118,12 @@ def log_softmax(logits: Tensor, axis: int = -1,
 def masked_softmax(logits: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     """Padding-safe masked softmax.
 
-    Unlike :func:`softmax`, this op tolerates slices whose mask is
-    entirely ``False`` (padding rows of a batched graph): such slices
-    produce an all-zero output instead of ``nan``.  Masked positions get
-    probability exactly zero and receive exactly zero gradient, and the
-    shift point is the *masked* maximum so that arbitrary (finite)
-    garbage in padding positions can never overflow ``exp``.
+    Slices whose mask is entirely ``False`` (padding rows of a batched
+    graph) produce an all-zero output instead of ``nan``.  Masked
+    positions get probability exactly zero and receive exactly zero
+    gradient, and the shift point is the *masked* maximum so that
+    arbitrary (finite) garbage in padding positions can never overflow
+    ``exp``.
     """
     mask_arr = np.broadcast_to(np.asarray(mask, dtype=bool), logits.shape)
     mask_f = mask_arr.astype(np.float64)

@@ -150,9 +150,9 @@ class ResilientRTPService:
     Parameters
     ----------
     service:
-        Anything with ``handle(request) -> RTPResponse`` (an
-        :class:`~repro.service.RTPService`, a monitor, or a
-        fault-injected wrapper).
+        Anything with ``handle(request) -> RTPResponse`` and optionally
+        ``handle_batch(requests)`` (an :class:`~repro.service.RTPService`,
+        a monitor, or a fault-injected wrapper).
     fallback:
         The cheap predictor used for degraded answers.
     batcher:
@@ -248,6 +248,11 @@ class ResilientRTPService:
         return degraded_response(self.fallback, request, reason,
                                  latency_ms=latency_ms, version=self.version)
 
+    def _degrade_all(self, requests: Sequence[RTPRequest], reason: str,
+                     started: float) -> List[RTPResponse]:
+        return [self._degraded_response(request, reason, started)
+                for request in requests]
+
     def _stamp(self, response: RTPResponse) -> RTPResponse:
         response.model_version = self.version
         return response
@@ -280,23 +285,56 @@ class ResilientRTPService:
     # ------------------------------------------------------------------
     def handle(self, request: RTPRequest) -> RTPResponse:
         """Answer one request, degrading instead of ever failing."""
+        return self._serve([request],
+                           lambda batch: [self.service.handle(batch[0])],
+                           "rtp.resilient")[0]
+
+    def handle_batch(self, requests: Sequence[RTPRequest]) -> List[RTPResponse]:
+        """Batched variant: one ``service.handle_batch`` call per flush.
+
+        A flush of any size, one included, is a single model call, so a
+        padded multi-request forward stays a single forward.  A service
+        without ``handle_batch`` is driven one :meth:`handle` per
+        member instead.
+        """
+        if not requests:
+            return []
+        if not hasattr(self.service, "handle_batch"):
+            return [self.handle(request) for request in requests]
+        return self._serve(list(requests), self.service.handle_batch,
+                           "rtp.resilient.batch", batch=len(requests))
+
+    def _serve(self, requests: List[RTPRequest],
+               call: Callable[[List[RTPRequest]], List[RTPResponse]],
+               span_name: str, **span_attrs) -> List[RTPResponse]:
+        """Admission, breaker, deadline and accounting around one call.
+
+        The one resilience path behind :meth:`handle` and
+        :meth:`handle_batch`.  Admission, breaker state and the deadline
+        are evaluated once per call -- every member waited for the same
+        forward, so they share one wall-clock fate -- and a failed call
+        degrades each member individually through the fallback.  Only a
+        call of one request retries a transient failure; a batch does
+        not.
+        """
         started = self.clock()
-        self._count("requests")
+        size = len(requests)
+        with self._counts_lock:
+            self.counts["requests"] += size
         if self._registry is not None:
-            self._m_requests.labels(version=self.version).inc()
-        with span("rtp.resilient", version=self.version):
+            self._m_requests.labels(version=self.version).inc(size)
+        with span(span_name, version=self.version, **span_attrs):
             # Admission control: shed before queueing more work.
             if (self.batcher is not None
                     and self.batcher.pending >= self.config.max_queue_depth):
-                return self._degraded_response(request, "shed", started)
+                return self._degrade_all(requests, "shed", started)
             if not self.breaker.allow():
-                return self._degraded_response(
-                    request, "breaker_open", started)
+                return self._degrade_all(requests, "breaker_open", started)
 
-            attempts = 2 if self.config.retry_transient else 1
+            attempts = 2 if self.config.retry_transient and size == 1 else 1
             for attempt in range(attempts):
                 try:
-                    response = self.service.handle(request)
+                    responses = call(requests)
                 except Exception:
                     self._count("errors")
                     self.breaker.record_failure()
@@ -308,81 +346,26 @@ class ResilientRTPService:
                             and self.breaker.allow()):
                         self._count("retries")
                         continue
-                    return self._degraded_response(request, "error", started)
+                    return self._degrade_all(requests, "error", started)
                 elapsed_ms = (self.clock() - started) * 1000.0
                 if elapsed_ms > self.config.deadline_ms:
                     # The model answered too late to be useful; serve
                     # the cheap answer and count the slowness against
                     # the breaker (slow is a failure mode).
                     self.breaker.record_failure()
-                    return self._degraded_response(
-                        request, "deadline", started)
+                    return self._degrade_all(requests, "deadline", started)
                 self.breaker.record_success()
                 with self._counts_lock:
-                    self.counts["model"] += 1
-                    self._latency_sum_ms += elapsed_ms
-                    self._latency_count += 1
+                    self.counts["model"] += size
+                    self._latency_sum_ms += elapsed_ms * size
+                    self._latency_count += size
                 if self._registry is not None:
-                    self._m_latency.labels(
-                        version=self.version).observe(elapsed_ms)
+                    for _ in requests:
+                        self._m_latency.labels(
+                            version=self.version).observe(elapsed_ms)
                 self._publish_breaker()
-                return self._stamp(response)
+                return [self._stamp(response) for response in responses]
         raise AssertionError("unreachable")  # pragma: no cover
-
-    def handle_batch(self, requests: Sequence[RTPRequest]) -> List[RTPResponse]:
-        """Batched variant: one failed batch degrades its members.
-
-        Batches of two or more take a true batched fast path (one
-        ``service.handle_batch`` call, so a padded multi-request
-        forward stays a single forward).  Admission, breaker state and
-        the deadline are evaluated once for the whole flush — every
-        member waited for the same batch, so they share one wall-clock
-        fate — and a failed batch degrades each member individually
-        through the fallback.  The batched path does not retry;
-        retry-once remains a single-request affordance.
-        """
-        if len(requests) <= 1 or not hasattr(self.service, "handle_batch"):
-            return [self.handle(request) for request in requests]
-        started = self.clock()
-        with self._counts_lock:
-            self.counts["requests"] += len(requests)
-        if self._registry is not None:
-            self._m_requests.labels(version=self.version).inc(len(requests))
-        with span("rtp.resilient.batch", version=self.version,
-                  batch=len(requests)):
-            if (self.batcher is not None
-                    and self.batcher.pending >= self.config.max_queue_depth):
-                return [self._degraded_response(request, "shed", started)
-                        for request in requests]
-            if not self.breaker.allow():
-                return [self._degraded_response(
-                    request, "breaker_open", started)
-                    for request in requests]
-            try:
-                responses = self.service.handle_batch(list(requests))
-            except Exception:
-                self._count("errors")
-                self.breaker.record_failure()
-                if self._registry is not None:
-                    self._m_errors.labels(version=self.version).inc()
-                return [self._degraded_response(request, "error", started)
-                        for request in requests]
-            elapsed_ms = (self.clock() - started) * 1000.0
-            if elapsed_ms > self.config.deadline_ms:
-                self.breaker.record_failure()
-                return [self._degraded_response(request, "deadline", started)
-                        for request in requests]
-            self.breaker.record_success()
-            with self._counts_lock:
-                self.counts["model"] += len(requests)
-                self._latency_sum_ms += elapsed_ms * len(requests)
-                self._latency_count += len(requests)
-            if self._registry is not None:
-                for _ in requests:
-                    self._m_latency.labels(
-                        version=self.version).observe(elapsed_ms)
-            self._publish_breaker()
-            return [self._stamp(response) for response in responses]
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, int]:

@@ -109,52 +109,31 @@ class RTPService:
         )
 
     # ------------------------------------------------------------------
-    def handle(self, request: RTPRequest) -> RTPResponse:
-        with span("rtp.request") as request_span:
-            start = time.perf_counter()
-            with span("graph_build"):
-                graph, cache_hit = self._build_graph(request)
-            built = time.perf_counter()
-            with span("infer"):
-                output = self.model.predict(graph)
-            done = time.perf_counter()
-            request_span.set_attr("num_locations", request.num_locations)
-            request_span.set_attr("cache_hit", cache_hit)
-        self._queries_served += 1
-        return self._response(
-            output,
-            build_ms=(built - start) * 1000.0,
-            infer_ms=(done - built) * 1000.0,
-            cache_hit=cache_hit,
-            batch_size=1,
-        )
+    def _serve(self, requests: Sequence[RTPRequest]) -> List[RTPResponse]:
+        """Build (or fetch) each graph, then one fused engine forward.
 
-    def handle_batch(self, requests: Sequence[RTPRequest]) -> List[RTPResponse]:
-        """Answer many requests with one padded batched forward pass.
-
-        Per-request ``infer_ms`` is the batch inference time divided by
-        the batch size (the throughput-relevant amortised cost);
-        ``build_ms`` is each request's own graph-building time.
+        The single inference path behind :meth:`handle` and
+        :meth:`handle_batch`: a lone request is a batch of one, so its
+        answer is bitwise that of ``handle_batch([request])``.
+        Per-request ``infer_ms`` is the forward time divided by the
+        batch size; ``build_ms`` is each request's own build time.
         """
-        if not requests:
-            return []
         build_times: List[float] = []
         cache_hits: List[bool] = []
         graphs: List[MultiLevelGraph] = []
-        with span("rtp.batch", batch_size=len(requests)):
-            for request in requests:
-                start = time.perf_counter()
-                with span("graph_build"):
-                    graph, cache_hit = self._build_graph(request)
-                build_times.append((time.perf_counter() - start) * 1000.0)
-                cache_hits.append(cache_hit)
-                graphs.append(graph)
+        for request in requests:
+            start = time.perf_counter()
+            with span("graph_build"):
+                graph, cache_hit = self._build_graph(request)
+            build_times.append((time.perf_counter() - start) * 1000.0)
+            cache_hits.append(cache_hit)
+            graphs.append(graph)
 
-            infer_start = time.perf_counter()
-            with span("infer"):
-                outputs = self.engine.predict(graphs)
-            amortised_infer = ((time.perf_counter() - infer_start) * 1000.0
-                               / len(requests))
+        infer_start = time.perf_counter()
+        with span("infer"):
+            outputs = self.engine.predict(graphs)
+        amortised_infer = ((time.perf_counter() - infer_start) * 1000.0
+                           / len(requests))
         self._queries_served += len(requests)
         return [
             self._response(output, build_ms=build_ms,
@@ -163,6 +142,20 @@ class RTPService:
             for output, build_ms, cache_hit
             in zip(outputs, build_times, cache_hits)
         ]
+
+    def handle(self, request: RTPRequest) -> RTPResponse:
+        with span("rtp.request") as request_span:
+            (response,) = self._serve([request])
+            request_span.set_attr("num_locations", request.num_locations)
+            request_span.set_attr("cache_hit", response.cache_hit)
+        return response
+
+    def handle_batch(self, requests: Sequence[RTPRequest]) -> List[RTPResponse]:
+        """Answer many requests with one padded batched forward pass."""
+        if not requests:
+            return []
+        with span("rtp.batch", batch_size=len(requests)):
+            return self._serve(requests)
 
     # ------------------------------------------------------------------
     @property

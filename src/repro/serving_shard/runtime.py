@@ -70,17 +70,13 @@ class _BatcherFrontend:
     """Service facade routing every call through a :class:`MicroBatcher`.
 
     ``handle_batch`` submits all members then flushes once, so a
-    drained multi-request message batch becomes a single padded
-    forward through :meth:`RTPService.handle_batch`.
+    drained message batch of any size becomes a single padded forward
+    through :meth:`RTPService.handle_batch`.  The lane only ever calls
+    :meth:`ResilientRTPService.handle_batch`, so no ``handle`` is needed.
     """
 
     def __init__(self, batcher: MicroBatcher):
         self.batcher = batcher
-
-    def handle(self, request):
-        ticket = self.batcher.submit(request)
-        self.batcher.flush()
-        return ticket.result()
 
     def handle_batch(self, requests: Sequence) -> List:
         tickets = [self.batcher.submit(request) for request in requests]

@@ -8,6 +8,7 @@ runs with ``--runslow``.
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.data import GeneratorConfig, RTPDataset, SyntheticWorld
 from repro.graphs import GraphBuilder
 
@@ -72,3 +73,22 @@ def graph(builder, instance):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def kernel_dispatches(monkeypatch):
+    """Backend names of every ``repro.kernels.active()`` dispatch.
+
+    The fused inference paths look the backend up through this call,
+    so an empty list after a forward means it never reached
+    :mod:`repro.kernels`.
+    """
+    calls = []
+    real_active = kernels.active
+
+    def spy():
+        calls.append(kernels.active_name())
+        return real_active()
+
+    monkeypatch.setattr(kernels, "active", spy)
+    return calls

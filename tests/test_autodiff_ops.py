@@ -14,6 +14,7 @@ from repro.autodiff import (
     huber_loss,
     log_softmax,
     mae_loss,
+    masked_softmax,
     maximum,
     mse_loss,
     softmax,
@@ -85,6 +86,23 @@ class TestSoftmax:
         p = softmax(Tensor([1.0, 100.0, 1.0]), mask=mask)
         assert p.data[1] == 0.0
         assert np.allclose(p.data.sum(), 1.0)
+
+    def test_softmax_mask_shifts_by_valid_max(self, rng):
+        """A dominant masked logit must not underflow the valid ones:
+        the masked softmax is exactly masked_softmax, gradients finite."""
+        values = rng.normal(scale=0.1, size=(2, 5))
+        values[0, 3] = 800.0
+        mask = np.ones((2, 5), dtype=bool)
+        mask[0, 3] = False
+        x = Tensor(values, requires_grad=True)
+        p = softmax(x, axis=-1, mask=mask)
+        expected = masked_softmax(Tensor(values), mask, axis=-1)
+        assert np.array_equal(p.data, expected.data)
+        assert np.allclose(p.data.sum(axis=-1), 1.0)
+        w = rng.normal(size=(2, 5))
+        ((p / p.sum(axis=-1, keepdims=True)) * Tensor(w)).sum().backward()
+        assert np.isfinite(x.grad).all()
+        assert x.grad[0, 3] == 0.0
 
     def test_softmax_gradcheck(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)

@@ -422,7 +422,7 @@ class TestDegradedAccounting:
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 class TestSoak:
-    def test_steady_soak_fused_matches_reference(self):
+    def test_steady_soak_fused_matches_reference(self, kernel_dispatches):
         """A sustained wall-clock steady run through the fused kernels:
         zero hard errors, all answers valid, and sampled predictions
         bitwise-identical to the reference backend."""
@@ -440,15 +440,22 @@ class TestSoak:
         assert steady.requests >= int(0.8 * soak_s * config.rate)
 
         # Bitwise conformance on sampled requests: fused and reference
-        # backends must produce identical routes and ETAs.
+        # backends must produce identical routes and ETAs.  Each answer
+        # must really dispatch into its backend's kernels, or the
+        # comparison would be the Tensor path against itself.
         pool = result.context.stream.instances
         sample = pool[:: max(1, len(pool) // 8)]
         for instance in sample:
             request = RTPRequest.from_instance(instance)
+            kernel_dispatches.clear()
             with kernels.backend_scope("fused"):
                 fused = RTPService(model).handle(request)
+            assert kernel_dispatches and set(kernel_dispatches) == {"fused"}
+            kernel_dispatches.clear()
             with kernels.backend_scope("reference"):
                 reference = RTPService(model).handle(request)
+            assert kernel_dispatches and set(kernel_dispatches) == {
+                "reference"}
             assert list(fused.route) == list(reference.route)
             assert np.array_equal(np.asarray(fused.eta_minutes),
                                   np.asarray(reference.eta_minutes))
