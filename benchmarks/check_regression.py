@@ -3,11 +3,11 @@
 Diffs the freshly produced ``benchmarks/results/load_*_smoke.json``
 artifacts against the blessed copies in ``benchmarks/baselines/``.
 Smoke runs use the deterministic virtual clock, so the behavioural
-counters (requests, degraded, shed, breaker opens, decisions, drift
-alarms) must match the baseline *exactly*; only the latency percentile
-gets a tolerance band (simulated service time has a seeded jitter, but
-host scheduling can still move the tail by a fraction of a
-millisecond).
+counters (requests, degraded, shed, breaker opens, decisions as
+``(action, version)`` pairs, drift alarms) must match the baseline
+*exactly*; only the latency percentile gets a tolerance band (simulated
+service time has a seeded jitter, but host scheduling can still move
+the tail by a fraction of a millisecond).
 
 Failures are printed as GitHub Actions ``::error`` annotations (and
 soft tolerance exceedances as ``::warning``), so a regressing PR shows
@@ -76,12 +76,16 @@ def compare_artifact(name: str, current: Dict, baseline: Dict,
             f"{name}: p99 latency drifting {want_p99:.1f}ms -> "
             f"{got_p99:.1f}ms ({delta:+.1f}ms, within ±{band:.1f}ms band)")
 
-    got_actions = [d["action"] for d in current.get("decisions", [])]
-    want_actions = [d["action"] for d in baseline.get("decisions", [])]
-    if got_actions != want_actions:
+    # Decisions are pinned as (action, version): promoting or rolling
+    # back the wrong version is as much a regression as the wrong verb.
+    got_decisions = [(d["action"], d.get("version"))
+                     for d in current.get("decisions", [])]
+    want_decisions = [(d["action"], d.get("version"))
+                      for d in baseline.get("decisions", [])]
+    if got_decisions != want_decisions:
         errors.append(
             f"{name}: deployment decisions changed "
-            f"{want_actions} -> {got_actions}")
+            f"{want_decisions} -> {got_decisions}")
 
     # The (phase, event) sequence is pinned: shed onsets, shard kills,
     # respawns, corruption rejections and drift rollbacks must fire in

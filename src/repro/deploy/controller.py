@@ -1,17 +1,24 @@
 """Canary / shadow rollout control over the model registry.
 
-The controller owns the serving-side model lifecycle: it loads the
-active registry version behind a resilient wrapper, hot-swaps in a
-**candidate** version, and routes traffic in one of two modes:
+The controller owns the serving-side model lifecycle — hot swap,
+canary, promote, rollback, drift-alarm rollback, regime lanes, the
+registry's ``ACTIVE`` pointer and rollout decisions — for both serving
+topologies.  In-process, each installed version is a
+:class:`~repro.deploy.ResilientRTPService` in the controller's own
+:class:`~repro.deploy.lanes.LaneTable`; given a
+:class:`~repro.serving_shard.ShardRouter`, the router's lane table
+routes and each lifecycle action is a broadcast every shard applies
+behind its in-flight work.  Rollout modes:
 
 * **canary** — a configurable fraction of live requests is answered by
   the candidate; once it has seen enough traffic the controller
-  compares the per-version ``rtp_*`` series in the shared metrics
-  registry (requests, degraded-by-reason, model latency) against the
-  rollout policy and **auto-promotes** or **auto-rolls-back**;
-* **shadow** — every request is duplicated to the candidate, whose
-  answer is discarded; only the divergence (route permutation mismatch
-  and ETA MAE against the primary) is recorded.
+  compares the candidate lane's answers (requests, degraded rate, mean
+  latency) with the primary's against the rollout policy and
+  **auto-promotes** or **auto-rolls-back**;
+* **shadow** (in-process only) — every request is duplicated to the
+  candidate, whose answer is discarded; only the divergence (route
+  permutation mismatch and ETA MAE against the served answer) is
+  recorded.
 
 Promotion writes the registry's ``ACTIVE`` pointer, so a restarted
 controller comes back serving the promoted version.
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,11 +37,9 @@ from ..obs.metrics import MetricsRegistry
 from ..service.request import RTPRequest
 from ..service.rtp_service import RTPResponse, RTPService
 from .faults import FaultInjector
+from .lanes import CANDIDATE, REGIME_PREFIX, LaneTable
 from .registry import ModelRegistry
 from .resilience import ResilienceConfig, ResilientRTPService
-
-#: Degradation reasons counted against a canary candidate.
-DEGRADED_REASONS = ("breaker_open", "deadline", "shed", "error")
 
 
 @dataclasses.dataclass
@@ -112,8 +117,14 @@ class DeploymentController:
         The :class:`~repro.deploy.ModelRegistry` versions are loaded
         from; promotion moves its ``ACTIVE`` pointer.
     metrics:
-        Shared :class:`~repro.obs.MetricsRegistry`; per-version series
-        land here and the canary verdict reads them back.
+        Shared :class:`~repro.obs.MetricsRegistry`; rollout decisions
+        and drift alarms are counted here, and the quality-gated verdict
+        reads the per-version ``rtp_quality_*`` gauges back.
+    router:
+        Optional :class:`~repro.serving_shard.ShardRouter` to drive; its
+        version, split seed and regime map apply, and the arguments
+        that build in-process lanes (``initial`` to ``regime_of``) are
+        unused.
     initial:
         Version ref served at start — default: the registry's active
         version, else ``latest``.
@@ -141,7 +152,8 @@ class DeploymentController:
                  clock: Callable[[], float] = time.perf_counter,
                  batcher=None,
                  service_wrapper: Optional[Callable] = None,
-                 regime_of: Optional[Callable[[RTPRequest], str]] = None):
+                 regime_of: Optional[Callable[[RTPRequest], str]] = None,
+                 router=None):
         self.registry = registry
         self.resilience = resilience or ResilienceConfig()
         self.policy = policy or RolloutPolicy()
@@ -150,28 +162,41 @@ class DeploymentController:
         self.clock = clock
         self.batcher = batcher
         self.service_wrapper = service_wrapper
-        self._rng = np.random.default_rng(seed)
+        self.router = router
         self._decision_counter = self.metrics.counter(
             "rtp_rollout_decisions_total", "Canary verdicts by action",
             labels=("action",))
-        if initial is None:
-            initial = ("active" if registry.active() is not None else "latest")
-        version = registry.resolve(initial)
-        self.primary = self._make_service(version)
-        if registry.active() != version:
-            registry.activate(version)
-        self.candidate: Optional[ResilientRTPService] = None
+        if router is not None:
+            self.lanes = router.lanes
+        else:
+            if initial is None:
+                initial = ("active" if registry.active() is not None
+                           else "latest")
+            self.lanes = LaneTable(
+                self._make_service(registry.resolve(initial)), seed=seed,
+                regime_of=regime_of)
+        if registry.active() != self.active_version:
+            registry.activate(self.active_version)
         self.mode: Optional[str] = None        # None | "canary" | "shadow"
         self.decisions: List[RolloutDecision] = []
         self.shadow_stats = ShadowStats()
-        self._canary_requests_base = 0.0
-        self._canary_degraded_base = 0.0
-        if regime_of is None:
-            from ..online.zoo import regime_of_request as regime_of
-        self.regime_of = regime_of
-        self.regime_routes: Dict[str, ResilientRTPService] = {}
 
     # ------------------------------------------------------------------
+    @property
+    def primary(self):
+        """The primary lane: a resilient service, or a router spec."""
+        return self.lanes.primary
+
+    @property
+    def candidate(self):
+        """The canary/shadow candidate lane, if one is in flight."""
+        return self.lanes.candidate
+
+    @property
+    def active_version(self) -> str:
+        """Version currently serving non-candidate traffic."""
+        return self.lanes.primary.version
+
     def _make_service(self, version: str,
                       fault_injector: Optional[FaultInjector] = None,
                       ) -> ResilientRTPService:
@@ -185,6 +210,13 @@ class DeploymentController:
             registry=self.metrics, version=version, clock=self.clock,
             batcher=self.batcher)
 
+    def _load_model(self, version: str, fault_injector=None):
+        """The model a router broadcasts for ``version``."""
+        if fault_injector is not None:
+            raise ValueError("per-lane fault injection needs in-process "
+                             "serving (shards use service_wrapper)")
+        return self.registry.load(version)[0]
+
     # ------------------------------------------------------------------
     # Rollout lifecycle
     # ------------------------------------------------------------------
@@ -192,35 +224,46 @@ class DeploymentController:
                      fault_injector: Optional[FaultInjector] = None) -> str:
         """Load ``ref`` as the canary candidate; returns its version.
 
-        ``fault_injector`` (tests/benchmarks) wraps the candidate's
-        inner service so injected faults hit only the candidate path.
+        ``fault_injector`` (tests/benchmarks, in-process only) wraps the
+        candidate's inner service so injected faults hit only the
+        candidate path.
         """
+        version = self._resolve_candidate(ref)
         if fraction is not None:
             self.policy = dataclasses.replace(
                 self.policy, canary_fraction=fraction)
-        version = self._resolve_candidate(ref)
-        self.candidate = self._make_service(version, fault_injector)
-        # Counters in the shared registry are cumulative; the verdict
-        # must judge only this canary's traffic, so snapshot baselines
-        # (a re-canary after a rollback starts from a clean slate).
-        self._canary_requests_base = self._metric_value(
-            "rtp_model_requests_total", version=version)
-        self._canary_degraded_base = self._degraded_total(version)
+        fraction = self.policy.canary_fraction
+        if self.router is None:
+            self.lanes.install(
+                CANDIDATE, self._make_service(version, fault_injector))
+            self.lanes.fraction = fraction
+        else:
+            self.router.start_canary(
+                version, self._load_model(version, fault_injector), fraction)
         self.mode = "canary"
         return version
 
     def start_shadow(self, ref: str,
                      fault_injector: Optional[FaultInjector] = None) -> str:
         """Load ``ref`` as a shadow candidate; returns its version."""
+        if self.router is not None:
+            raise RuntimeError("shadow rollouts need in-process serving")
         version = self._resolve_candidate(ref)
-        self.candidate = self._make_service(version, fault_injector)
+        self.lanes.install(CANDIDATE,
+                           self._make_service(version, fault_injector))
         self.mode = "shadow"
         self.shadow_stats = ShadowStats()
         return version
 
     def _resolve_candidate(self, ref: str) -> str:
+        if self.lanes.candidate is not None:
+            # Replacing a live candidate would drop it without a
+            # decision and restart its verdict evidence from zero.
+            raise RuntimeError(
+                f"candidate {self.lanes.candidate.version!r} is already "
+                "in flight; promote or roll it back first")
         version = self.registry.resolve(ref)
-        if version == self.primary.version:
+        if version == self.active_version:
             # The per-version metric series would collide and the
             # canary verdict would be computed on merged numbers.
             raise ValueError(
@@ -235,56 +278,65 @@ class DeploymentController:
         back to the version that already knows it, with no canary (the
         zoo only holds gate-approved versions) and no retrain.  Refused
         mid-rollout — a swap under a live candidate would invalidate
-        the canary verdict's baselines.
+        the canary verdict's baselines.  ``ACTIVE`` moves only once the
+        new primary serves (after every shard acked, when sharded).
         """
         version = self.registry.resolve(ref)
-        if version == self.primary.version:
+        if version == self.active_version:
             return version
-        if self.candidate is not None:
+        if self.lanes.candidate is not None:
             raise RuntimeError(
                 "cannot swap the primary while a candidate is in flight")
-        self.primary = self._make_service(version)
+        if self.router is None:
+            self.lanes.primary = self._make_service(version)
+        else:
+            self.router.swap_to(version, self._load_model(version))
         self.registry.activate(version)
         return version
 
     # ------------------------------------------------------------------
     # Regime-matched routing (model zoo)
     # ------------------------------------------------------------------
-    def set_regime_route(self, regime: str, ref: str,
-                         fault_injector: Optional[FaultInjector] = None,
-                         ) -> str:
+    def install_regime(self, regime: str, ref: str,
+                       fault_injector: Optional[FaultInjector] = None,
+                       ) -> str:
         """Serve requests in ``regime`` from ``ref`` instead of ACTIVE.
 
-        Fallback stays the primary: requests whose regime has no route
-        (or whose routed version *is* the primary) are untouched, and
-        canary/shadow rollouts take precedence so a live experiment is
-        never starved of its traffic split.
+        Fallback stays the primary: requests whose regime has no lane
+        (or whose lane's version *is* the primary) are untouched, and a
+        live canary takes its split first so an experiment is never
+        starved of its traffic share.
         """
         version = self.registry.resolve(ref)
-        self.regime_routes[regime] = self._make_service(
-            version, fault_injector)
+        if self.router is None:
+            self.lanes.install(REGIME_PREFIX + regime,
+                               self._make_service(version, fault_injector))
+        else:
+            self.router.install_regime(
+                regime, version, self._load_model(version, fault_injector))
         return version
 
-    def clear_regime_route(self, regime: str) -> bool:
-        """Drop one regime route; ``False`` if it wasn't set."""
-        return self.regime_routes.pop(regime, None) is not None
+    def clear_regime(self, regime: str) -> bool:
+        """Drop one regime lane; ``False`` if it wasn't installed."""
+        if self.router is None:
+            return self.lanes.uninstall(REGIME_PREFIX + regime) is not None
+        return self.router.clear_regime(regime)
 
     def promote(self, reason: str = "manual") -> RolloutDecision:
         """Make the candidate the primary and persist it as ACTIVE."""
-        if self.candidate is None:
+        if self.lanes.candidate is None:
             raise RuntimeError("no candidate to promote")
         decision = self._decision("promote", reason)
-        self.registry.activate(self.candidate.version)
-        self.primary = self.candidate
-        self._clear_candidate()
+        self._end_candidate(promote=True)
+        self.registry.activate(decision.version)
         return decision
 
     def rollback(self, reason: str = "manual") -> RolloutDecision:
         """Drop the candidate; the primary keeps serving."""
-        if self.candidate is None:
+        if self.lanes.candidate is None:
             raise RuntimeError("no candidate to roll back")
         decision = self._decision("rollback", reason)
-        self._clear_candidate()
+        self._end_candidate(promote=False)
         return decision
 
     def on_drift_alarm(self, alarm) -> Optional[RolloutDecision]:
@@ -305,25 +357,47 @@ class DeploymentController:
             labels=("metric", "detector")).labels(
             metric=str(getattr(alarm, "metric", "unknown")),
             detector=str(getattr(alarm, "detector", "unknown"))).inc()
-        if self.mode != "canary" or self.candidate is None:
+        if self.mode != "canary" or self.lanes.candidate is None:
             return None
         return self.rollback(reason=(
             f"drift: {alarm.metric} {alarm.detector} statistic "
             f"{alarm.statistic:.3f} > {alarm.threshold:.3f}"))
 
-    def _clear_candidate(self) -> None:
-        self.candidate = None
+    def _end_candidate(self, promote: bool) -> None:
+        """Stop the split, then promote or drop the candidate lane."""
+        if self.router is None:
+            self.lanes.uninstall(CANDIDATE, promote)
+        else:
+            self.router.stop_canary(promote=promote)
         self.mode = None
 
+    def _evidence(self) -> Tuple[int, float, float, float]:
+        """Candidate requests, degraded rate and mean latency (ms), and
+        the primary's mean latency, from each lane's own answers: the
+        resilient tallies in-process (model latency), the router's
+        per-version tallies sharded (dispatch-to-answer latency)."""
+        candidate = self.lanes.candidate
+        if self.router is not None:
+            stats = self.router.lane_stats(candidate.version)
+            requests = int(stats["requests"])
+            return (requests,
+                    stats["degraded"] / requests if requests else 0.0,
+                    stats["latency_ms"],
+                    self.router.lane_stats(self.active_version)["latency_ms"])
+        return (candidate.counts["requests"], candidate.degraded_rate,
+                candidate.model_latency_mean_ms(),
+                self.lanes.primary.model_latency_mean_ms())
+
     def _decision(self, action: str, reason: str) -> RolloutDecision:
+        requests, degraded_rate, candidate_ms, primary_ms = self._evidence()
         decision = RolloutDecision(
             action=action,
-            version=self.candidate.version,
+            version=self.lanes.candidate.version,
             reason=reason,
-            candidate_requests=self.candidate.counts["requests"],
-            candidate_degraded_rate=self.candidate.degraded_rate,
-            candidate_latency_ms=self.candidate.model_latency_mean_ms(),
-            primary_latency_ms=self.primary.model_latency_mean_ms(),
+            candidate_requests=requests,
+            candidate_degraded_rate=degraded_rate,
+            candidate_latency_ms=candidate_ms,
+            primary_latency_ms=primary_ms,
         )
         self.decisions.append(decision)
         self._decision_counter.labels(action=action).inc()
@@ -333,45 +407,37 @@ class DeploymentController:
     # Request routing
     # ------------------------------------------------------------------
     def handle(self, request: RTPRequest) -> RTPResponse:
-        """Route one request according to the current rollout mode.
+        """Serve one request from the lane the lane table picks.
 
-        ``mode``/``candidate``/``primary`` are read once into locals:
-        a concurrent :meth:`promote` / :meth:`rollback` must never
-        yank the service out from under an in-flight request — the
-        request completes against the services it was admitted to, and
-        its ``model_version`` stamp stays coherent.
+        Lanes, ``mode`` and ``candidate`` are read once: a concurrent
+        :meth:`promote` / :meth:`rollback` never yanks the service from
+        under an in-flight request, so its ``model_version`` stamp stays
+        coherent.  A candidate answer gives the verdict a chance to fire.
         """
-        mode = self.mode
-        candidate = self.candidate
-        primary = self.primary
-        if mode == "canary" and candidate is not None:
-            if float(self._rng.random()) < self.policy.canary_fraction:
-                response = candidate.handle(request)
-                self._maybe_decide()
-                return response
-            return primary.handle(request)
-        if mode == "shadow" and candidate is not None:
-            response = primary.handle(request)
-            self._shadow(candidate, request, response)
-            return response
-        if self.regime_routes:
-            service = self.regime_routes.get(self.regime_of(request))
-            if service is not None and service.version != primary.version:
-                return service.handle(request)
-        return primary.handle(request)
+        mode, candidate = self.mode, self.lanes.candidate
+        if self.router is not None:
+            response = self.router.handle(request)
+        else:
+            response = self.lanes.route(request)[1].handle(request)
+            if mode == "shadow" and candidate is not None:
+                self._shadow(candidate, request, response)
+        if (mode == "canary" and candidate is not None
+                and response.model_version == candidate.version):
+            self._maybe_decide()
+        return response
 
     def _shadow(self, candidate: ResilientRTPService, request: RTPRequest,
-                primary: RTPResponse) -> None:
+                served: RTPResponse) -> None:
         shadow = candidate.handle(request)  # resilient: cannot raise
         self.shadow_stats.requests += 1
         if shadow.degraded:
             self.shadow_stats.degraded_candidate += 1
-        if not np.array_equal(shadow.route, primary.route):
+        if not np.array_equal(shadow.route, served.route):
             self.shadow_stats.route_mismatches += 1
             self.metrics.counter(
                 "rtp_shadow_divergence_total", "Shadow mismatches by kind",
                 labels=("kind",)).labels(kind="route").inc()
-        mae = float(np.mean(np.abs(shadow.eta_minutes - primary.eta_minutes)))
+        mae = float(np.mean(np.abs(shadow.eta_minutes - served.eta_minutes)))
         self.shadow_stats.eta_mae_sum += mae
         self.metrics.summary(
             "rtp_shadow_eta_mae",
@@ -386,37 +452,25 @@ class DeploymentController:
             return 0.0
         return float(instrument.labels(**labels).value)
 
-    def _degraded_total(self, version: str) -> float:
-        return sum(
-            self._metric_value("rtp_degraded_total",
-                               version=version, reason=reason)
-            for reason in DEGRADED_REASONS)
-
     def _maybe_decide(self) -> Optional[RolloutDecision]:
         """Auto-promote / auto-rollback once the candidate has traffic.
 
-        Reads the per-version ``rtp_model_requests_total`` and
-        ``rtp_degraded_total`` series from the shared metrics registry
-        — the same exposition operators scrape — rather than private
-        state, so the verdict is exactly what the dashboards show.
+        Health comes from the candidate lane's own answers
+        (:meth:`_evidence`); the optional quality leg reads the
+        per-version ``rtp_quality_*`` gauges from the shared metrics
+        registry — the same exposition operators scrape.
         """
-        candidate = self.candidate
-        if candidate is None or self.mode != "canary":
+        if self.lanes.candidate is None or self.mode != "canary":
             return None
-        version = candidate.version
-        requests = (self._metric_value(
-            "rtp_model_requests_total", version=version)
-            - self._canary_requests_base)
+        version = self.lanes.candidate.version
+        requests, degraded_rate, candidate_latency, primary_latency = (
+            self._evidence())
         if requests < self.policy.min_requests:
             return None
-        degraded = self._degraded_total(version) - self._canary_degraded_base
-        degraded_rate = degraded / requests if requests else 0.0
         if degraded_rate > self.policy.max_degraded_rate:
             return self.rollback(
                 reason=f"degraded rate {degraded_rate:.2f} > "
                        f"{self.policy.max_degraded_rate:.2f}")
-        primary_latency = self.primary.model_latency_mean_ms()
-        candidate_latency = candidate.model_latency_mean_ms()
         if (primary_latency > 0 and candidate_latency
                 > self.policy.max_latency_ratio * primary_latency):
             return self.rollback(
@@ -434,7 +488,7 @@ class DeploymentController:
                 segment="model_version", key=version)
             primary_mae = self._metric_value(
                 "rtp_quality_eta_mae",
-                segment="model_version", key=self.primary.version)
+                segment="model_version", key=self.active_version)
             if (primary_mae > 0 and candidate_mae
                     > self.policy.max_quality_mae_ratio * primary_mae):
                 return self.rollback(
@@ -451,11 +505,6 @@ class DeploymentController:
             reason=f"healthy after {int(requests)} canary requests")
 
     # ------------------------------------------------------------------
-    @property
-    def active_version(self) -> str:
-        """Version currently serving non-candidate traffic."""
-        return self.primary.version
-
     def render_metrics(self) -> str:
         """Prometheus exposition of the shared registry."""
         return self.metrics.render()

@@ -7,11 +7,13 @@ kernel workspace and graph cache.  Placement is consistent by courier
 identity, admission is bounded per shard with load shedding to the
 degraded fallback path, dead shards respawn from current weights, and
 hot model swap / canary rollouts broadcast serialized state dicts that
-drain behind in-flight work.  :class:`ShardDeploymentController` wires
-those lifecycle actions to the model registry.
+drain behind in-flight work.  Lane routing follows the one
+:class:`~repro.deploy.lanes.LaneTable` rule, and
+:class:`~repro.deploy.DeploymentController` (given the router) drives
+the rollout lifecycle against the model registry, exactly as it does
+for in-process serving.
 """
 
-from .deployment import ShardDeploymentController
 from .router import (SHARD_LATENCY_BUCKETS, SHARD_LATENCY_EXEMPLARS,
                      ShardConfig, ShardRouter, ShardTicket)
 from .runtime import (CRASH_EXIT_CODE, ShardRuntime, SleepLatencyService,
@@ -22,7 +24,6 @@ __all__ = [
     "SHARD_LATENCY_BUCKETS",
     "SHARD_LATENCY_EXEMPLARS",
     "ShardConfig",
-    "ShardDeploymentController",
     "ShardRouter",
     "ShardRuntime",
     "ShardTicket",

@@ -14,14 +14,19 @@ serving tier:
   :func:`~repro.deploy.resilience.degraded_response` fallback path —
   load never grows a queue without bound;
 * **health + respawn** — worker processes emit heartbeats; a dead
-  shard is respawned from the *current* primary weights (and canary,
-  if one is active) with its outstanding requests resubmitted,
+  shard is respawned from the *current* primary weights (and every
+  canary or regime lane) with its outstanding requests resubmitted,
   mirroring the heartbeat/respawn discipline of
   :mod:`repro.parallel.worker`;
-* **hot swap / canary** — new versions are broadcast once as
-  serialized state dicts; FIFO per-shard queues make swap and rollback
-  *drains* (in-flight work completes on the old version, nothing is
-  dropped);
+* **lanes** — a :class:`~repro.deploy.lanes.LaneTable` of serialized
+  model specs picks each request's lane (canary split, regime lane,
+  primary) before dispatch; new versions are broadcast once as
+  serialized state dicts, and FIFO per-shard queues make swap and
+  rollback *drains* (in-flight work completes on the old version,
+  nothing is dropped).  :class:`~repro.deploy.DeploymentController`
+  drives these lifecycle calls from the model registry, and reads the
+  per-version answer tallies (:meth:`ShardRouter.lane_stats`) for its
+  rollout decisions;
 * **observability** — per-shard ``rtp_shard_*`` series (requests,
   shed, queue depth/peak, respawns, swaps, latency histogram with
   exemplars) in the shared registry, and worker-process spans shipped
@@ -51,6 +56,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from ..core.fallback import FallbackPredictor
+from ..deploy.lanes import CANDIDATE, PRIMARY, REGIME_PREFIX, LaneTable
 from ..deploy.resilience import ResilienceConfig, degraded_response
 from ..obs import tracing
 from ..obs.metrics import MetricsRegistry
@@ -145,6 +151,35 @@ class _ShardTally:
         self.latencies_ms: List[float] = []
 
 
+@dataclasses.dataclass
+class _VersionTally:
+    """Router-side answers attributed to one model version."""
+
+    requests: int = 0
+    degraded: int = 0
+    latency_sum_ms: float = 0.0   # over non-degraded answers
+    latency_count: int = 0
+
+
+@dataclasses.dataclass(frozen=True)
+class _ModelSpec:
+    """A serialized model version: what a lane is on the router side."""
+
+    version: str
+    model_config: Dict[str, object]
+    state: Dict[str, np.ndarray]
+
+    @classmethod
+    def of(cls, version: str, model) -> "_ModelSpec":
+        return cls(version, dataclasses.asdict(model.config),
+                   model.state_dict())
+
+    def install(self, name: str) -> tuple:
+        """The control message installing this spec as lane ``name``."""
+        return ("install", name, self.version, self.model_config,
+                self.state)
+
+
 class ShardRouter:
     """Fan requests over N shards; see module docstring for semantics.
 
@@ -168,6 +203,10 @@ class ShardRouter:
         Optional callbacks ``(shard_id) -> None`` fired when a dead
         shard is respawned / a request is shed; the load scenarios
         record pinned events through these.
+    regime_of:
+        Request → regime key for regime lanes (default: the model
+        zoo's weather-derived key).  ``config.seed`` seeds the canary
+        split.
     """
 
     def __init__(self, model, *, version: str = "v001",
@@ -189,23 +228,18 @@ class ShardRouter:
         self.on_respawn = on_respawn
         self.on_shed = on_shed
         self.fallback = FallbackPredictor()
-        self.version = version
-        self.model_config = dataclasses.asdict(model.config)
-        self.state = model.state_dict()
-        self._candidate: Optional[Dict[str, object]] = None  # canary spec
-        self._canary_fraction = 0.0
-        #: Regime key -> serialized model spec (model-zoo routing);
-        #: replayed onto respawned shards like the canary spec.
-        self._regimes: Dict[str, Dict[str, object]] = {}
-        if regime_of is None:
-            from ..online.zoo import regime_of_request as regime_of
-        self.regime_of = regime_of
+        #: Lanes as serialized specs: the table picks each request's
+        #: lane name (shards resolve it against their installed lanes),
+        #: and non-primary specs are replayed onto respawned shards.
+        self.lanes: LaneTable[_ModelSpec] = LaneTable(
+            _ModelSpec.of(version, model), seed=self.config.seed,
+            regime_of=regime_of)
         self._feedback = None
-        self._rng = np.random.default_rng(self.config.seed)
         self._req_counter = 0
         self._lock = threading.Lock()
         self._tallies = [_ShardTally()
                          for _ in range(self.config.num_shards)]
+        self._versions: Dict[str, _VersionTally] = {}
         self._in_flight = [0] * self.config.num_shards
         self._init_metrics(metrics)
 
@@ -269,27 +303,34 @@ class ShardRouter:
             labels=("shard",), buckets=SHARD_LATENCY_BUCKETS,
             exemplars=SHARD_LATENCY_EXEMPLARS)
 
+    @property
+    def version(self) -> str:
+        """The version every shard's primary lane is serving."""
+        return self.lanes.primary.version
+
+    def _install_messages(self) -> List[tuple]:
+        """Messages that replay every non-primary lane onto a shard."""
+        return [spec.install(name)
+                for name, spec in self.lanes.extra_lanes().items()]
+
     def _make_runtime(self, shard: int) -> ShardRuntime:
+        primary = self.lanes.primary
         runtime = ShardRuntime(
-            shard, self.model_config, self.state, self.version,
+            shard, primary.model_config, primary.state, primary.version,
             resilience=self.resilience,
             cache_size=self.config.cache_size,
             max_batch_size=self.config.max_batch_size,
             clock=self.clock, service_wrapper=self._wrappers[shard],
             sleep_latency_ms=self.config.sleep_latency_ms)
-        if self._candidate is not None:
-            runtime.process(("canary_start", self._candidate["version"],
-                             self._candidate["model_config"],
-                             self._candidate["state"]))
-        for regime, spec in self._regimes.items():
-            runtime.process(("regime_install", regime, spec["version"],
-                             spec["model_config"], spec["state"]))
+        for message in self._install_messages():
+            runtime.process(message)
         return runtime
 
     def _spec(self) -> Dict[str, object]:
+        primary = self.lanes.primary
         return {
-            "model_config": self.model_config, "state": self.state,
-            "version": self.version, "resilience": self.resilience,
+            "model_config": primary.model_config, "state": primary.state,
+            "version": primary.version, "resilience": self.resilience,
             "cache_size": self.config.cache_size,
             "max_batch_size": self.config.max_batch_size,
             "heartbeat_s": self.config.heartbeat_s,
@@ -307,14 +348,8 @@ class ShardRouter:
             name=f"rtp-shard-{shard}", daemon=True)
         handle.process.start()
         handle.last_seen = time.monotonic()
-        if self._candidate is not None:
-            handle.task_queue.put(
-                ("canary_start", self._candidate["version"],
-                 self._candidate["model_config"], self._candidate["state"]))
-        for regime, spec in self._regimes.items():
-            handle.task_queue.put(
-                ("regime_install", regime, spec["version"],
-                 spec["model_config"], spec["state"]))
+        for message in self._install_messages():
+            handle.task_queue.put(message)
 
     # ------------------------------------------------------------------
     # Placement and admission
@@ -336,19 +371,6 @@ class ShardRouter:
             depth += int(self.backlog_probe.pending)
         return depth
 
-    def _pick_lane(self, request) -> str:
-        """Canary split first (a live experiment owns its traffic
-        share), then regime-matched routing, then the primary."""
-        if (self._candidate is not None
-                and float(self._rng.random()) < self._canary_fraction):
-            return "candidate"
-        if self._regimes:
-            regime = self.regime_of(request)
-            spec = self._regimes.get(regime)
-            if spec is not None and spec["version"] != self.version:
-                return f"regime:{regime}"
-        return "primary"
-
     def _note_depth(self, shard: int, depth: int) -> None:
         tally = self._tallies[shard]
         tally.queue_peak = max(tally.queue_peak, depth)
@@ -366,12 +388,22 @@ class ShardRouter:
         return degraded_response(self.fallback, request, "shed",
                                  version=self.version)
 
-    def _record_answer(self, shard: int, latency_ms: float,
+    def _record_answer(self, shard: int, response, latency_ms: float,
                        trace_id: Optional[str] = None) -> None:
         with self._lock:
             tally = self._tallies[shard]
             tally.requests += 1
             tally.latencies_ms.append(latency_ms)
+            answers = self._versions.get(response.model_version)
+            if answers is None:
+                answers = _VersionTally()
+                self._versions[response.model_version] = answers
+            answers.requests += 1
+            if response.degraded:
+                answers.degraded += 1
+            else:
+                answers.latency_sum_ms += latency_ms
+                answers.latency_count += 1
         if self.metrics is not None:
             self._m_requests.labels(shard=str(shard)).inc()
             self._m_latency.labels(shard=str(shard)).observe(
@@ -388,7 +420,7 @@ class ShardRouter:
             self._note_depth(shard, depth)
             if depth >= self.config.max_queue_depth:
                 return self._shed(shard, request)
-            lane = self._pick_lane(request)
+            lane = self.lanes.route(request)[0]
             if self.inline:
                 return self._dispatch_inline(shard, request, lane,
                                              route_span)
@@ -426,13 +458,13 @@ class ShardRouter:
         self._note_depth(shard, depth)
         if depth >= self.config.max_queue_depth:
             response = self._shed(shard, request)
-            ticket = ShardTicket(-1, shard, request, "primary", None,
+            ticket = ShardTicket(-1, shard, request, PRIMARY, None,
                                  self.clock())
             ticket.response = response
             ticket.done_at = self.clock()
             ticket.event.set()
             return ticket
-        return self._submit(shard, request, self._pick_lane(request))
+        return self._submit(shard, request, self.lanes.route(request)[0])
 
     # -- inline ---------------------------------------------------------
     def _dispatch_inline(self, shard: int, request, lane: str, route_span):
@@ -450,7 +482,8 @@ class ShardRouter:
             self._in_flight[shard] -= 1
         response, spans = reply[3], reply[4]
         merge_worker_spans(spans, ctx)
-        self._record_answer(shard, (self.clock() - started) * 1000.0,
+        self._record_answer(shard, response,
+                            (self.clock() - started) * 1000.0,
                             trace_id=route_span.trace_id)
         return response
 
@@ -549,7 +582,7 @@ class ShardRouter:
                 ticket.spans = spans
                 ticket.done_at = self.clock()
                 latency_ms = (ticket.done_at - ticket.submitted) * 1000.0
-                self._record_answer(shard, latency_ms)
+                self._record_answer(shard, response, latency_ms)
                 ticket.event.set()
                 self._handles[shard].last_seen = time.monotonic()
             elif kind == "ready":
@@ -564,8 +597,7 @@ class ShardRouter:
                 event = self._control_events.get(("pong", shard))
                 if event is not None:
                     event.set()
-            elif kind in ("swapped", "canary_ready", "canary_stopped",
-                          "regime_ready", "regime_cleared", "stopped"):
+            elif kind in ("swapped", "installed", "uninstalled", "stopped"):
                 shard = message[1]
                 self._handles[shard].last_seen = time.monotonic()
                 event = self._control_events.get((kind, shard))
@@ -594,20 +626,21 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # Lifecycle: swap, canary, kill, shutdown
     # ------------------------------------------------------------------
-    def swap_to(self, version: str, model) -> None:
-        """Hot-swap every shard's primary to ``model`` (drains FIFO)."""
-        self.model_config = dataclasses.asdict(model.config)
-        self.state = model.state_dict()
-        self.version = version
-        swap_id = self._next_req_id()
+    def _send_all(self, message: tuple, ack_kind: str) -> None:
+        """Apply a control message on every shard, behind its queue."""
         if self.inline:
             for runtime in self.runtimes:
                 if runtime.alive:
-                    runtime.process(("swap", swap_id, version,
-                                     self.model_config, self.state))
+                    runtime.process(message)
         else:
-            self._broadcast(("swap", swap_id, version, self.model_config,
-                             self.state), "swapped")
+            self._broadcast(message, ack_kind)
+
+    def swap_to(self, version: str, model) -> None:
+        """Hot-swap every shard's primary to ``model`` (drains FIFO)."""
+        spec = _ModelSpec.of(version, model)
+        self.lanes.primary = spec
+        self._send_all(("swap", self._next_req_id(), version,
+                        spec.model_config, spec.state), "swapped")
         self._count_swaps()
 
     def _count_swaps(self) -> None:
@@ -617,24 +650,16 @@ class ShardRouter:
                 self._m_swaps.labels(shard=str(shard)).inc()
 
     def start_canary(self, version: str, model, fraction: float) -> None:
-        """Install ``model`` as the canary lane on every shard."""
+        """Install ``model`` as the canary lane on every shard (its
+        version's answer tally restarts with this canary)."""
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
-        self._candidate = {
-            "version": version,
-            "model_config": dataclasses.asdict(model.config),
-            "state": model.state_dict(),
-        }
-        message = ("canary_start", version,
-                   self._candidate["model_config"],
-                   self._candidate["state"])
-        if self.inline:
-            for runtime in self.runtimes:
-                if runtime.alive:
-                    runtime.process(message)
-        else:
-            self._broadcast(message, "canary_ready")
-        self._canary_fraction = fraction   # route only after all acks
+        spec = _ModelSpec.of(version, model)
+        self.lanes.install(CANDIDATE, spec)   # replayed, not yet routed
+        self._send_all(spec.install(CANDIDATE), "installed")
+        with self._lock:
+            self._versions.pop(version, None)
+        self.lanes.fraction = fraction       # route only after all acks
 
     def stop_canary(self, promote: bool = False) -> None:
         """End the canary: drop the candidate, or promote it in place.
@@ -643,26 +668,13 @@ class ShardRouter:
         shard drains its canary work before switching — a rollback
         never drops an answered-by-candidate request on the floor.
         """
-        if self._candidate is None:
+        if self.lanes.candidate is None:
             raise RuntimeError("no canary is active")
-        self._canary_fraction = 0.0   # stop routing before draining
-        message = ("canary_stop", promote)
-        if self.inline:
-            for runtime in self.runtimes:
-                if runtime.alive:
-                    runtime.process(message)
-        else:
-            self._broadcast(message, "canary_stopped")
+        self.lanes.fraction = 0.0   # stop routing before draining
+        self._send_all(("uninstall", CANDIDATE, promote), "uninstalled")
+        self.lanes.uninstall(CANDIDATE, promote)
         if promote:
-            self.version = self._candidate["version"]
-            self.model_config = self._candidate["model_config"]
-            self.state = self._candidate["state"]
             self._count_swaps()
-        self._candidate = None
-
-    @property
-    def canary_active(self) -> bool:
-        return self._candidate is not None
 
     # ------------------------------------------------------------------
     # Regime-matched routing (model zoo)
@@ -670,44 +682,20 @@ class ShardRouter:
     def install_regime(self, regime: str, version: str, model) -> None:
         """Install ``model`` as the dedicated lane for one regime.
 
-        Requests whose :attr:`regime_of` key matches serve from this
-        lane on every shard; everything else (and the regime itself, if
-        its version later becomes the primary) falls back to the
-        primary.  Respawned shards re-install the lane from the spec,
-        exactly like the canary."""
-        spec = {
-            "version": version,
-            "model_config": dataclasses.asdict(model.config),
-            "state": model.state_dict(),
-        }
-        message = ("regime_install", regime, version,
-                   spec["model_config"], spec["state"])
-        if self.inline:
-            for runtime in self.runtimes:
-                if runtime.alive:
-                    runtime.process(message)
-        else:
-            self._broadcast(message, "regime_ready")
-        self._regimes[regime] = spec   # route only after all acks
+        Respawned shards re-install the lane from its spec, exactly
+        like the canary; routing follows the lane table's rule.
+        """
+        name, spec = REGIME_PREFIX + regime, _ModelSpec.of(version, model)
+        self._send_all(spec.install(name), "installed")
+        self.lanes.install(name, spec)   # route only after all acks
 
     def clear_regime(self, regime: str) -> bool:
         """Drop one regime lane everywhere; ``False`` if not installed."""
-        if regime not in self._regimes:
-            return False
-        self._regimes.pop(regime, None)  # stop routing before draining
-        message = ("regime_clear", regime)
-        if self.inline:
-            for runtime in self.runtimes:
-                if runtime.alive:
-                    runtime.process(message)
-        else:
-            self._broadcast(message, "regime_cleared")
+        name = REGIME_PREFIX + regime
+        if self.lanes.uninstall(name) is None:
+            return False    # removed first: stop routing before draining
+        self._send_all(("uninstall", name, False), "uninstalled")
         return True
-
-    def regime_versions(self) -> Dict[str, str]:
-        """Installed regime → version mapping (introspection)."""
-        return {regime: str(spec["version"])
-                for regime, spec in self._regimes.items()}
 
     def kill_shard(self, shard: int) -> None:
         """Kill one shard (tests / kill scenarios); respawn is lazy."""
@@ -752,14 +740,9 @@ class ShardRouter:
         """Inline lanes' circuit breakers (for scenario breaker watch)."""
         if not self.inline:
             return []
-        found = []
-        for runtime in self.runtimes:
-            found.append(runtime.primary.resilient.breaker)
-            if runtime.candidate is not None:
-                found.append(runtime.candidate.resilient.breaker)
-            for lane in runtime.regimes.values():
-                found.append(lane.resilient.breaker)
-        return found
+        return [lane.resilient.breaker for runtime in self.runtimes
+                for lane in (runtime.primary,
+                             *runtime.lanes.extra_lanes().values())]
 
     def shard_stats(self) -> List[Dict[str, object]]:
         """Router-side per-shard accounting (the artifact block)."""
@@ -778,6 +761,19 @@ class ShardRouter:
                                if latencies.size else 0.0),
                 })
         return stats
+
+    def lane_stats(self, version: str) -> Dict[str, float]:
+        """Answers stamped with ``version`` since its canary started:
+        counts, degraded count, and mean dispatch-to-answer latency of
+        the non-degraded ones (0 when there are none)."""
+        with self._lock:
+            tally = self._versions.get(version) or _VersionTally()
+            return {
+                "requests": tally.requests,
+                "degraded": tally.degraded,
+                "latency_ms": (tally.latency_sum_ms / tally.latency_count
+                               if tally.latency_count else 0.0),
+            }
 
     def worker_stats(self) -> List[Dict[str, object]]:
         """Worker-side stats snapshots (ping/pong in process mode)."""

@@ -20,8 +20,9 @@ Per shard, the stack is the full single-process serving story:
 under a :class:`~repro.service.MicroBatcher` (drained request messages
 flush as one padded batched forward), wrapped by
 :class:`~repro.deploy.ResilientRTPService` (deadline/breaker/fallback,
-fixed ``model_version`` stamp per installed version).  Hot model swap
-and canary install/stop arrive as queue messages; FIFO ordering is
+fixed ``model_version`` stamp per installed version), one per lane of
+a :class:`~repro.deploy.lanes.LaneTable`.  Hot model swap and lane
+install/uninstall arrive as queue messages; FIFO ordering is
 what makes a swap *drain* — every request enqueued before the swap
 message is answered by the old version, every one after by the new,
 and no request is ever dropped.
@@ -38,6 +39,7 @@ import numpy as np
 
 from ..core import M2G4RTP, M2G4RTPConfig
 from ..core.fallback import FallbackPredictor
+from ..deploy.lanes import LaneTable
 from ..deploy.resilience import ResilienceConfig, ResilientRTPService
 from ..kernels import Workspace, workspace_scope
 from ..obs import tracing
@@ -184,12 +186,15 @@ class ShardRuntime:
         self.alive = True
         self.requests = 0
         self.swaps = 0
-        self.primary = self._make_lane(model_config, state, version)
-        self.candidate: Optional[_Lane] = None
-        #: Regime key -> specialist lane (model-zoo routing).  Requests
-        #: tagged ``regime:<key>`` serve from the matching lane with
-        #: fallback to primary when the key is uninstalled.
-        self.regimes: Dict[str, _Lane] = {}
+        #: Primary, canary candidate and regime lanes of this shard.
+        #: The router picks lane *names*; the table resolves each to an
+        #: installed lane, falling back to the primary.
+        self.lanes: LaneTable[_Lane] = LaneTable(
+            self._make_lane(model_config, state, version))
+
+    @property
+    def primary(self) -> _Lane:
+        return self.lanes.primary
 
     # ------------------------------------------------------------------
     def _make_lane(self, model_config: Dict[str, object],
@@ -201,24 +206,6 @@ class ShardRuntime:
                      clock=self.clock,
                      service_wrapper=self.service_wrapper)
 
-    def _lane(self, name: str) -> _Lane:
-        if name == "candidate" and self.candidate is not None:
-            return self.candidate
-        if name.startswith("regime:"):
-            lane = self.regimes.get(name[len("regime:"):])
-            if lane is not None:
-                return lane
-        return self.primary
-
-    def _resolve_lane(self, requested: str) -> str:
-        """Canonical lane name a request message actually serves from."""
-        if requested == "candidate" and self.candidate is not None:
-            return "candidate"
-        if (requested.startswith("regime:")
-                and requested[len("regime:"):] in self.regimes):
-            return requested
-        return "primary"
-
     # ------------------------------------------------------------------
     # Message protocol (plain picklable tuples, repro.parallel style)
     # ------------------------------------------------------------------
@@ -229,31 +216,20 @@ class ShardRuntime:
             return self.process_requests([message])
         if kind == "swap":
             _, swap_id, version, model_config, state = message
-            self.primary = self._make_lane(model_config, state, version)
+            self.lanes.primary = self._make_lane(model_config, state, version)
             self.swaps += 1
             return [("swapped", self.shard_id, swap_id, version)]
-        if kind == "canary_start":
-            _, version, model_config, state = message
-            self.candidate = self._make_lane(model_config, state, version)
-            return [("canary_ready", self.shard_id, version)]
-        if kind == "canary_stop":
-            _, promote = message
-            stopped = self.candidate.version if self.candidate else ""
-            if promote and self.candidate is not None:
-                self.primary = self.candidate
+        if kind == "install":
+            _, name, version, model_config, state = message
+            self.lanes.install(
+                name, self._make_lane(model_config, state, version))
+            return [("installed", self.shard_id, name, version)]
+        if kind == "uninstall":
+            _, name, promote = message
+            if self.lanes.uninstall(name, promote) is not None and promote:
                 self.swaps += 1
-            self.candidate = None
-            return [("canary_stopped", self.shard_id, stopped,
+            return [("uninstalled", self.shard_id, name,
                      self.primary.version)]
-        if kind == "regime_install":
-            _, regime, version, model_config, state = message
-            self.regimes[regime] = self._make_lane(
-                model_config, state, version)
-            return [("regime_ready", self.shard_id, regime, version)]
-        if kind == "regime_clear":
-            _, regime = message
-            self.regimes.pop(regime, None)
-            return [("regime_cleared", self.shard_id, regime)]
         if kind == "ping":
             return [("pong", self.shard_id, message[1], self.stats())]
         if kind == "crash":  # fault injection for respawn tests
@@ -279,14 +255,12 @@ class ShardRuntime:
             with tracing.span("shard.serve", shard=self.shard_id,
                               batch=len(messages)):
                 responses: Dict[int, object] = {}
-                groups: Dict[str, List[int]] = {}
+                groups: Dict[str, Tuple[_Lane, List[int]]] = {}
                 for index, message in enumerate(messages):
-                    lane = self._resolve_lane(message[3])
-                    groups.setdefault(lane, []).append(index)
-                for lane_name, indices in groups.items():
-                    if not indices:
-                        continue
-                    answers = self._lane(lane_name).resilient.handle_batch(
+                    name, lane = self.lanes.resolve(message[3])
+                    groups.setdefault(name, (lane, []))[1].append(index)
+                for lane, indices in groups.values():
+                    answers = lane.resilient.handle_batch(
                         [messages[i][2] for i in indices])
                     for index, answer in zip(indices, answers):
                         responses[index] = answer
@@ -307,10 +281,9 @@ class ShardRuntime:
             "shard": self.shard_id,
             "pid": os.getpid(),
             "version": self.primary.version,
-            "candidate": (self.candidate.version
-                          if self.candidate is not None else None),
-            "regimes": {regime: lane.version
-                        for regime, lane in sorted(self.regimes.items())},
+            "candidate": (self.lanes.candidate.version
+                          if self.lanes.candidate is not None else None),
+            "regimes": dict(sorted(self.lanes.regime_versions().items())),
             "requests": self.requests,
             "swaps": self.swaps,
             "batches_flushed": self.primary.batcher.batches_flushed,

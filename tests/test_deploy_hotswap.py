@@ -5,13 +5,13 @@ never produce a torn answer: every response carries the
 ``model_version`` of a service it was actually admitted to, no request
 errors out because the candidate was yanked mid-call, and once the
 swap has drained every new request is stamped with the surviving
-version.  Covered in both deployment shapes:
+version.  Covered in both serving topologies of the one
+:class:`~repro.deploy.DeploymentController`:
 
-* single-process :class:`~repro.deploy.DeploymentController` hammered
-  from serving threads while the main thread flips canary → promote /
-  rollback;
-* the sharded tier (:class:`~repro.serving_shard.ShardDeploymentController`)
-  where the same lifecycle is a broadcast drain over worker queues.
+* single-process, hammered from serving threads while the main thread
+  flips canary → promote / rollback;
+* driving a :class:`~repro.serving_shard.ShardRouter`, where the same
+  lifecycle is a broadcast drain over worker queues.
 """
 
 import threading
@@ -23,8 +23,7 @@ from repro.core import M2G4RTP, M2G4RTPConfig
 from repro.deploy import (DeploymentController, ModelRegistry,
                           ResilienceConfig, RolloutPolicy)
 from repro.service import RTPRequest
-from repro.serving_shard import (ShardConfig, ShardDeploymentController,
-                                 ShardRouter)
+from repro.serving_shard import ShardConfig, ShardRouter
 
 
 def tiny_model(seed: int) -> M2G4RTP:
@@ -146,7 +145,7 @@ class TestShardedHotSwap:
         router = ShardRouter(model, version="v001",
                              config=ShardConfig(num_shards=2, seed=4),
                              inline=True)
-        controller = ShardDeploymentController(registry, router)
+        controller = DeploymentController(registry, router=router)
         controller.start_canary("v002", fraction=0.5)
         versions = set()
         for request in requests:
@@ -178,7 +177,7 @@ class TestShardedHotSwap:
                              config=ShardConfig(num_shards=2, seed=4),
                              inline=False)
         try:
-            controller = ShardDeploymentController(registry, router)
+            controller = DeploymentController(registry, router=router)
             controller.start_canary("v002", fraction=0.5)
             promote_at = len(requests) // 2
             tickets = []

@@ -363,6 +363,43 @@ class TestOnlineTrainerResume:
                                   y.instance.arrival_times)
 
 
+class _CountingPolicy:
+    """Retrain policy stub that only counts how often it is consulted."""
+
+    clock = None
+
+    def __init__(self):
+        self.calls = 0
+
+    def should_retrain(self, now, window_size, total_ingested):
+        self.calls += 1
+        return None
+
+
+class TestNoRetrainUnderLiveCandidate:
+    def test_policy_not_consulted_while_candidate_in_flight(self, tmp_path):
+        """The controller refuses a second candidate, so the loop must
+        not train a student it could never canary."""
+        registry = ModelRegistry(tmp_path / "reg")
+        for seed in (17, 18):
+            registry.register(small_model(seed, 16), created_at=f"t{seed}")
+        controller = DeploymentController(
+            registry, initial="v001",
+            policy=RolloutPolicy(min_requests=10 ** 9))
+        policy = _CountingPolicy()
+        loop = OnlineLoop(registry, controller, ExperienceBuffer(seed=0),
+                          OnlineTrainer(registry, tmp_path / "jobs"),
+                          policy)
+        loop.tick()
+        assert policy.calls == 1
+        controller.start_canary("v002")
+        loop.tick()
+        assert policy.calls == 1
+        controller.rollback(reason="test")
+        loop.tick()
+        assert policy.calls == 2
+
+
 class TestRetrainPolicyHysteresis:
     def test_flapping_detector_causes_no_retrain_storm(self):
         policy = RetrainPolicy(RetrainPolicyConfig(

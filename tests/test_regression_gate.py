@@ -71,6 +71,14 @@ class TestCompare:
             artifact(decisions=[{"action": "promote"}]))
         assert any("decisions" in e for e in errors)
 
+    def test_decision_version_pinned(self):
+        # Same verb, wrong version: a promote of v002 where the blessed
+        # run promoted v003 must fail the gate.
+        errors, _ = compare(
+            artifact(decisions=[{"action": "promote", "version": "v002"}]),
+            artifact(decisions=[{"action": "promote", "version": "v003"}]))
+        assert any("decisions" in e for e in errors)
+
     def test_drift_alarms_pinned(self):
         quality = {"verdict": "drift", "observations": 80,
                    "alarms": [{"metric": "eta_mae",

@@ -13,17 +13,24 @@ The properties that make :mod:`repro.serving_shard` trustworthy:
   request is answered by a coherent installed version, versions are
   FIFO-monotonic per shard, and nothing is dropped;
 * a killed worker is respawned (from current weights) and outstanding
-  work resubmitted — the caller just sees answers.
+  work resubmitted — the caller just sees answers;
+* lane routing and rollout control are topology-blind: the one
+  :class:`~repro.deploy.DeploymentController` serves the same version
+  for the same request in-process, over one shard and over two, and
+  its rollout decisions describe the candidate lane's own answers.
 """
 
 import dataclasses
 import pickle
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core import M2G4RTP, M2G4RTPConfig
+from repro.deploy import DeploymentController, ModelRegistry, RolloutPolicy
+from repro.load import VirtualClock
 from repro.obs import disable_tracing, enable_tracing
 from repro.service import RTPRequest
 from repro.serving_shard import (ShardConfig, ShardRouter, ShardRuntime,
@@ -50,6 +57,34 @@ def make_router(num_shards=2, **kwargs) -> ShardRouter:
     kwargs.setdefault("inline", True)
     config = kwargs.pop("config", None) or ShardConfig(num_shards=num_shards)
     return ShardRouter(tiny_model(), version="v001", config=config, **kwargs)
+
+
+#: Serving topologies one DeploymentController can drive.
+TOPOLOGIES = ("inprocess", "shards1", "shards2")
+
+
+@pytest.fixture()
+def registry(tmp_path):
+    """v001 = the make_router primary, v002 = canary, v003 = storm lane."""
+    registry = ModelRegistry(tmp_path / "registry")
+    for seed in (3, 9, 7):
+        registry.register(tiny_model(seed=seed), created_at=f"s{seed}",
+                          data_seed=0)
+    return registry
+
+
+def make_controller(registry, topology, seed=0, **router_kwargs):
+    """A controller serving v001 in ``topology``; verdicts stay manual."""
+    policy = RolloutPolicy(min_requests=10 ** 9)
+    if topology == "inprocess":
+        return DeploymentController(registry, initial="v001", seed=seed,
+                                    policy=policy)
+    model, _ = registry.load("v001")
+    router = ShardRouter(
+        model, version="v001", inline=True,
+        config=ShardConfig(num_shards=int(topology[-1]), seed=seed),
+        **router_kwargs)
+    return DeploymentController(registry, router=router, policy=policy)
 
 
 def assert_valid(response, request):
@@ -233,51 +268,74 @@ def _with_weather(requests, weather):
     return [dataclasses.replace(r, weather=weather) for r in requests]
 
 
-class TestRegimeLanes:
-    def test_regime_requests_serve_from_their_lane(self, requests):
-        router = make_router(num_shards=2)
-        router.install_regime("weather:storm", "v-storm",
-                              tiny_model(seed=7))
-        assert router.regime_versions() == {"weather:storm": "v-storm"}
-        for request in _with_weather(requests[:6], weather=3):
-            response = router.handle(request)
-            assert_valid(response, request)
-            assert response.model_version == "v-storm"
-        for request in _with_weather(requests[6:12], weather=0):
-            assert router.handle(request).model_version == "v001"
+class _RegimeLaneCases:
+    """Regime-lane routing through the controller, for one topology."""
 
-    def test_lane_matching_primary_version_defers_to_primary(self, requests):
+    topology = "shards2"
+
+    @pytest.fixture()
+    def controller(self, registry):
+        return make_controller(registry, self.topology)
+
+    def test_regime_requests_serve_from_their_lane(self, controller,
+                                                   requests):
+        assert controller.install_regime("weather:storm", "v003") == "v003"
+        assert controller.lanes.regime_versions() == {
+            "weather:storm": "v003"}
+        for request in _with_weather(requests[:6], weather=3):
+            response = controller.handle(request)
+            assert_valid(response, request)
+            assert response.model_version == "v003"
+        for request in _with_weather(requests[6:12], weather=0):
+            assert controller.handle(request).model_version == "v001"
+
+    def test_lane_matching_primary_version_defers_to_primary(
+            self, controller, requests):
         """When the primary *is* the regime model, the lane stays dark;
         once the primary moves on, the lane serves the old regime."""
-        router = make_router(num_shards=2)
-        router.install_regime("weather:storm", "v001", tiny_model(seed=7))
+        controller.install_regime("weather:storm", "v001")
         storm = _with_weather(requests[:4], weather=3)
-        assert {router.handle(r).model_version for r in storm} == {"v001"}
-        router.swap_to("v002", tiny_model(seed=9))
-        assert {router.handle(r).model_version for r in storm} == {"v001"}
-        assert {router.handle(r).model_version
+        assert {controller.handle(r).model_version
+                for r in storm} == {"v001"}
+        controller.swap("v002")
+        assert {controller.handle(r).model_version
+                for r in storm} == {"v001"}
+        assert {controller.handle(r).model_version
                 for r in _with_weather(requests[4:8], 0)} == {"v002"}
 
-    def test_clear_regime_restores_primary_routing(self, requests):
-        router = make_router(num_shards=2)
-        router.install_regime("weather:storm", "v-storm",
-                              tiny_model(seed=7))
+    def test_clear_regime_restores_primary_routing(self, controller,
+                                                   requests):
+        controller.install_regime("weather:storm", "v003")
         storm = _with_weather(requests[:4], weather=3)
-        assert router.handle(storm[0]).model_version == "v-storm"
-        assert router.clear_regime("weather:storm") is True
-        assert {router.handle(r).model_version for r in storm} == {"v001"}
-        assert router.clear_regime("weather:storm") is False
-        assert router.regime_versions() == {}
+        assert controller.handle(storm[0]).model_version == "v003"
+        assert controller.clear_regime("weather:storm") is True
+        assert {controller.handle(r).model_version
+                for r in storm} == {"v001"}
+        assert controller.clear_regime("weather:storm") is False
+        assert controller.lanes.regime_versions() == {}
 
-    def test_canary_owns_its_split_before_regime_routing(self, requests):
-        router = make_router(num_shards=2)
-        router.install_regime("weather:storm", "v-storm",
-                              tiny_model(seed=7))
-        router.start_canary("v002", tiny_model(seed=9), fraction=1.0)
+    def test_canary_owns_its_split_before_regime_routing(self, controller,
+                                                         requests):
+        controller.install_regime("weather:storm", "v003")
+        controller.start_canary("v002", fraction=1.0)
         storm = _with_weather(requests[:4], weather=3)
-        assert {router.handle(r).model_version for r in storm} == {"v002"}
-        router.stop_canary(promote=False)
-        assert {router.handle(r).model_version for r in storm} == {"v-storm"}
+        assert {controller.handle(r).model_version
+                for r in storm} == {"v002"}
+        controller.rollback(reason="test")
+        assert {controller.handle(r).model_version
+                for r in storm} == {"v003"}
+
+
+class TestRegimeLanesInProcess(_RegimeLaneCases):
+    topology = "inprocess"
+
+
+class TestRegimeLanesOneShard(_RegimeLaneCases):
+    topology = "shards1"
+
+
+class TestRegimeLanes(_RegimeLaneCases):
+    """Two inline shards; respawn replays the regime lane spec."""
 
     def test_respawn_reinstalls_regime_lane(self, requests):
         router = make_router(num_shards=2)
@@ -291,6 +349,97 @@ class TestRegimeLanes:
         assert response.model_version == "v-storm", (
             "respawn must replay the regime spec, like the canary")
         assert router.shard_stats()[victim]["respawns"] == 1
+
+
+# ----------------------------------------------------------------------
+# One controller, any topology
+# ----------------------------------------------------------------------
+class _FixedCost:
+    """Advances a virtual clock by a fixed cost per served batch."""
+
+    def __init__(self, inner, clock, cost_ms):
+        self.inner = inner
+        self.clock = clock
+        self.cost_ms = cost_ms
+
+    def handle_batch(self, requests):
+        self.clock.advance(self.cost_ms / 1000.0)
+        return self.inner.handle_batch(requests)
+
+
+class TestLaneConformance:
+    def test_topologies_serve_identical_version_sequences(self, registry,
+                                                          requests):
+        """Same seed, same requests, canary at 0.3 plus a regime lane:
+        every topology answers each request from the same version."""
+        mixed = [dataclasses.replace(r, weather=3 if i % 3 == 0 else 0)
+                 for i, r in enumerate(requests * 2)]
+        sequences = {}
+        for topology in TOPOLOGIES:
+            controller = make_controller(registry, topology, seed=11)
+            controller.install_regime("weather:storm", "v003")
+            controller.start_canary("v002", fraction=0.3)
+            sequences[topology] = [controller.handle(r).model_version
+                                   for r in mixed]
+        assert (sequences["inprocess"] == sequences["shards1"]
+                == sequences["shards2"])
+        assert set(sequences["inprocess"]) == {"v001", "v002", "v003"}
+
+
+class TestTopologyRollouts:
+    def test_sharded_decision_describes_the_candidate_lane(self, registry,
+                                                           requests):
+        """Counts, degraded rate and latency come from the candidate's
+        own answers, not from the whole fleet."""
+        clock = VirtualClock()
+        cost_ms = {3: 1.0, 9: 5.0}   # by model seed: v001, v002
+
+        def wrapper(shard):
+            return lambda inner: _FixedCost(
+                inner, clock, cost_ms[inner.model.config.seed])
+
+        controller = make_controller(registry, "shards2", seed=4,
+                                     clock=clock, service_wrapper=wrapper)
+        controller.start_canary("v002", fraction=0.5)
+        served = [controller.handle(r).model_version for r in requests[:16]]
+        decision = controller.promote(reason="test")
+        assert 0 < served.count("v002") < len(served)
+        assert decision.candidate_requests == served.count("v002")
+        assert decision.candidate_degraded_rate == 0.0
+        assert decision.candidate_latency_ms == pytest.approx(5.0)
+        assert decision.primary_latency_ms == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_live_candidate_is_never_silently_replaced(self, registry,
+                                                       topology):
+        controller = make_controller(registry, topology)
+        controller.start_canary("v002")
+        with pytest.raises(RuntimeError):
+            controller.start_canary("v003")
+        assert controller.candidate.version == "v002"
+        assert controller.decisions == []
+
+    def test_live_shadow_is_never_silently_replaced(self, registry):
+        controller = make_controller(registry, "inprocess")
+        controller.start_shadow("v002")
+        for start in (controller.start_shadow, controller.start_canary):
+            with pytest.raises(RuntimeError):
+                start("v003")
+        assert controller.candidate.version == "v002"
+        assert controller.mode == "shadow"
+
+    def test_sharded_rollouts_are_counted(self, registry):
+        controller = make_controller(registry, "shards2")
+        alarm = SimpleNamespace(metric="eta_mae", detector="page_hinkley",
+                                statistic=9.0, threshold=1.0)
+        assert controller.on_drift_alarm(alarm) is None
+        controller.start_canary("v002")
+        controller.promote(reason="test")
+        text = controller.render_metrics()
+        assert ('rtp_drift_alarms_total{metric="eta_mae",'
+                'detector="page_hinkley"} 1') in text
+        assert 'rtp_rollout_decisions_total{action="promote"} 1' in text
+        assert registry.active() == "v002"
 
 
 # ----------------------------------------------------------------------
