@@ -8,8 +8,8 @@ per-shard breakdown.  A separate segment kills a shard mid-soak and
 reports the respawn + recovery tail.
 
 Service time is modeled: every worker wraps its engine in a
-:class:`~repro.serving_shard.SleepLatencyService` (seeded lognormal
-*sleep* around the real forward), because real serving cost is
+:class:`~repro.load.clock.ModeledLatencyService` that sleeps its
+seeded lognormal cost around the real forward, because real serving cost is
 dominated by I/O-shaped time that overlaps across processes — which is
 exactly the concurrency win this tier exists for.  On a small CI host
 the tiny model's CPU-bound forward alone would never scale across

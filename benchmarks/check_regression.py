@@ -4,7 +4,8 @@ Diffs the freshly produced ``benchmarks/results/load_*_smoke.json``
 artifacts against the blessed copies in ``benchmarks/baselines/``.
 Smoke runs use the deterministic virtual clock, so the behavioural
 counters (requests, degraded, shed, breaker opens, decisions as
-``(action, version)`` pairs, drift alarms) must match the baseline
+``(action, version)`` pairs, drift alarms, per-shard counts and queue
+peaks) must match the baseline
 *exactly*; only the latency percentile gets a tolerance band (simulated
 service time has a seeded jitter, but host scheduling can still move
 the tail by a fraction of a millisecond).
@@ -36,6 +37,11 @@ P99_ABS_TOL_MS = 5.0
 #: totals[...] counters that must match the baseline exactly.
 EXACT_TOTALS = ("requests", "degraded", "shed", "breaker_opens",
                 "errors", "invalid_responses")
+
+#: shards[...] fields that must match the baseline exactly; the queue
+#: peak is the admission depth the virtual timeline reached.
+EXACT_SHARD_FIELDS = ("shard", "requests", "shed", "respawns", "swaps",
+                      "queue_peak")
 
 
 def _annotate(level: str, message: str) -> None:
@@ -106,11 +112,9 @@ def compare_artifact(name: str, current: Dict, baseline: Dict,
         errors.append(f"{name}: shards block "
                       f"{'appeared' if want_shards is None else 'vanished'}")
     elif got_shards is not None:
-        got_counts = [{k: s[k] for k in ("shard", "requests", "shed",
-                                         "respawns", "swaps")}
+        got_counts = [{k: s[k] for k in EXACT_SHARD_FIELDS}
                       for s in got_shards]
-        want_counts = [{k: s[k] for k in ("shard", "requests", "shed",
-                                          "respawns", "swaps")}
+        want_counts = [{k: s[k] for k in EXACT_SHARD_FIELDS}
                        for s in want_shards]
         if got_counts != want_counts:
             errors.append(

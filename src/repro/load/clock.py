@@ -13,12 +13,14 @@ worlds: under a virtual clock the real model forward costs zero
 *virtual* time, so the wrapper advances the clock by a seeded modeled
 service duration per call.  Queueing collapse then emerges from
 arithmetic (modeled service time > arrival interval) exactly as it
-does from wall-clock physics.
+does from wall-clock physics.  Shard workers hand the same wrapper
+``time.sleep`` instead, to model I/O-shaped serving time on the wall
+clock.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -63,14 +65,18 @@ WEATHER_SERVICE_SLOWDOWN = {0: 1.0, 1: 1.05, 2: 1.35, 3: 2.0}
 
 
 class ModeledLatencyService:
-    """Service shim that charges a modeled duration to a virtual clock.
+    """Service shim that charges a modeled duration per call.
 
-    Each ``handle`` advances ``clock`` by a lognormal-shaped service
-    time (``base_ms`` scaled by ``exp(sigma * N(0, 1))``) drawn from a
-    seeded RNG, then delegates to the wrapped service.  The real
-    forward still runs — predictions are the model's — but *time* is
-    simulated, which is what makes deadline/shedding/breaker dynamics
-    deterministic.
+    Each call passes a lognormal-shaped service time (``base_ms``
+    scaled by ``exp(sigma * N(0, 1))``, in seconds) drawn from a
+    seeded RNG to ``advance``, then delegates to the wrapped service.
+    The real forward still runs — predictions are the model's — and
+    ``advance`` decides what the cost means: a virtual scenario passes
+    :meth:`VirtualClock.advance`, so *time* is simulated and
+    deadline/shedding/breaker dynamics are deterministic; a shard
+    worker passes ``time.sleep``, so the cost is I/O-shaped wall time
+    that overlaps across processes.  One cost is charged per call,
+    batched or not.
 
     ``weather_factors`` optionally couples the cost to the request's
     ``weather`` feature (see :data:`WEATHER_SERVICE_SLOWDOWN`).  The
@@ -79,15 +85,15 @@ class ModeledLatencyService:
     cost exactly what they cost without it.
     """
 
-    def __init__(self, service, clock: VirtualClock, base_ms: float,
-                 sigma: float = 0.2, seed: int = 0,
+    def __init__(self, service, advance: Callable[[float], None],
+                 base_ms: float, sigma: float = 0.2, seed: int = 0,
                  weather_factors=None):
         if base_ms < 0:
             raise ValueError("base_ms must be non-negative")
         if sigma < 0:
             raise ValueError("sigma must be non-negative")
         self.service = service
-        self.clock = clock
+        self.advance = advance
         self.base_ms = base_ms
         self.sigma = sigma
         self.weather_factors = (dict(weather_factors)
@@ -103,7 +109,7 @@ class ModeledLatencyService:
         cost_ms = self.base_ms * float(np.exp(
             self.sigma * self._rng.standard_normal()))
         cost_ms *= self._weather_factor(weather)
-        self.clock.advance(cost_ms / 1000.0)
+        self.advance(cost_ms / 1000.0)
 
     def handle(self, request):
         self._charge(getattr(request, "weather", None))

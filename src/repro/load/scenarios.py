@@ -265,7 +265,7 @@ def build_context(scenario: Scenario, config: LoadRunConfig,
         if virtual_clock is None:
             return inner
         return ModeledLatencyService(
-            inner, virtual_clock, base_ms=config.model_latency_ms,
+            inner, virtual_clock.advance, base_ms=config.model_latency_ms,
             seed=config.seed + 20,
             weather_factors=(WEATHER_SERVICE_SLOWDOWN
                              if scenario.weather_coupled else None))
@@ -354,7 +354,7 @@ def _attach_shards(context: ScenarioContext, scenario: Scenario,
     def shard_wrapper(shard_id: int) -> Callable:
         def wrap(inner):
             return ModeledLatencyService(
-                inner, virtual_clock, base_ms=config.model_latency_ms,
+                inner, virtual_clock.advance, base_ms=config.model_latency_ms,
                 seed=config.seed + 20 + shard_id)
         return wrap
 

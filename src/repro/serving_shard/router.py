@@ -1,62 +1,66 @@
 """Request router over N serving shards with admission control.
 
-The :class:`ShardRouter` is the front door of the multi-process
-serving tier:
+The :class:`ShardRouter` is the front door of the sharded serving tier:
 
 * **consistent placement** — requests hash by courier id (SHA-256, so
   placement is stable across processes and Python hash seeds) onto a
   fixed shard: a courier's repeat queries always land on the shard
   whose :class:`~repro.service.GraphCache` already holds their graph;
+* **lanes** — a :class:`~repro.deploy.lanes.LaneTable` of serialized
+  model specs picks each request's lane (canary split, regime lane,
+  primary) *before* admission, exactly as in-process serving does, so
+  a shed answer carries its lane's version and counts in that
+  version's tallies (:meth:`ShardRouter.lane_stats`, which
+  :class:`~repro.deploy.DeploymentController` reads for its rollout
+  decisions).  New versions are broadcast once as serialized state
+  dicts, and FIFO per-shard queues make swap and rollback *drains*
+  (in-flight work completes on the old version, nothing is dropped);
 * **admission control** — per-shard depth (in-flight dispatches plus
   an optional external backlog probe, e.g. the open-loop driver's) is
   bounded; beyond ``max_queue_depth`` the request is shed to a
   degraded answer through the shared
   :func:`~repro.deploy.resilience.degraded_response` fallback path —
   load never grows a queue without bound;
-* **health + respawn** — worker processes emit heartbeats; a dead
-  shard is respawned from the *current* primary weights (and every
-  canary or regime lane) with its outstanding requests resubmitted,
-  mirroring the heartbeat/respawn discipline of
-  :mod:`repro.parallel.worker`;
-* **lanes** — a :class:`~repro.deploy.lanes.LaneTable` of serialized
-  model specs picks each request's lane (canary split, regime lane,
-  primary) before dispatch; new versions are broadcast once as
-  serialized state dicts, and FIFO per-shard queues make swap and
-  rollback *drains* (in-flight work completes on the old version,
-  nothing is dropped).  :class:`~repro.deploy.DeploymentController`
-  drives these lifecycle calls from the model registry, and reads the
-  per-version answer tallies (:meth:`ShardRouter.lane_stats`) for its
-  rollout decisions;
+* **respawn** — control messages go to live shards only; a dead shard
+  is rebuilt on its next request (or while a caller waits on it) from
+  the *current* primary weights and every canary or regime lane in the
+  table, with its outstanding requests resubmitted;
 * **observability** — per-shard ``rtp_shard_*`` series (requests,
   shed, queue depth/peak, respawns, swaps, latency histogram with
-  exemplars) in the shared registry, and worker-process spans shipped
-  back via :mod:`repro.obs.propagate` and stitched under the router's
-  dispatch span.
+  exemplars keyed by each request's trace id) in the shared registry,
+  and shard-side spans shipped back via :mod:`repro.obs.propagate` and
+  stitched under the router's dispatch span.
 
-Two deployment modes share all of this logic:
+Every request follows one lifecycle — :meth:`~ShardRouter.submit`
+returns a ticket, the shard's reply resolves it, and
+:meth:`~ShardRouter.wait_all` (or :meth:`~ShardRouter.handle`, which
+is submit-and-wait) hands back the answer.  Each shard is a small
+transport with ``put(message)``, ``alive`` and ``kill()``, and both
+kinds deliver their replies through the router's one ``_on_reply``:
 
-* ``inline=True`` — shards are in-process :class:`ShardRuntime`
-  objects called synchronously.  Single-threaded and deterministic;
-  the load scenarios use it under a virtual clock, where killing a
-  shard, respawning it and every shed decision replay bit-for-bit.
-* ``inline=False`` — shards are real worker processes fed through
-  queues, with a collector thread resolving responses; ``submit``
-  returns a ticket so callers can pipeline requests across shards (the
-  soak benchmark's sustained-QPS mode).
+* ``inline=True`` — an in-process :class:`ShardRuntime` that answers
+  each message synchronously inside ``put``.  Single-threaded and
+  deterministic; the load scenarios use it under a virtual clock,
+  where killing a shard, respawning it and every shed decision replay
+  bit-for-bit.
+* ``inline=False`` — a forked worker process fed through its task
+  queue; a collector thread hands its replies to ``_on_reply``.
+  Liveness is the process's own ``is_alive()``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
 from ..core.fallback import FallbackPredictor
-from ..deploy.lanes import CANDIDATE, PRIMARY, REGIME_PREFIX, LaneTable
+from ..deploy.lanes import CANDIDATE, REGIME_PREFIX, LaneTable
 from ..deploy.resilience import ResilienceConfig, degraded_response
 from ..obs import tracing
 from ..obs.metrics import MetricsRegistry
@@ -80,15 +84,14 @@ class ShardConfig:
     max_queue_depth: int = 32      # per-shard admission bound
     max_batch_size: int = 8        # worker-side micro-batch bound
     cache_size: int = 32           # per-shard graph-cache entries
-    heartbeat_s: float = 0.25      # worker idle-heartbeat period
-    health_timeout_s: float = 10.0  # control-ack / liveness budget
+    health_timeout_s: float = 10.0  # control-ack / readiness budget
     max_respawns: int = 3          # per-shard respawn budget
     seed: int = 0                  # canary traffic-split RNG seed
-    #: When > 0, every worker wraps its service in a
-    #: :class:`~repro.serving_shard.runtime.SleepLatencyService` with
+    #: When > 0, every shard wraps its service in a
+    #: :class:`~repro.load.clock.ModeledLatencyService` that sleeps
     #: this base cost — the spec-data (picklable) way to model
-    #: I/O-shaped serving time in process mode, used by the wall-clock
-    #: soak bench.
+    #: I/O-shaped serving time in worker processes, used by the
+    #: wall-clock soak bench.
     sleep_latency_ms: float = 0.0
 
     def __post_init__(self) -> None:
@@ -101,7 +104,7 @@ class ShardConfig:
 
 
 class ShardTicket:
-    """Pending answer for one routed request (process mode)."""
+    """Pending answer for one routed request."""
 
     __slots__ = ("req_id", "shard", "request", "lane", "trace_ctx",
                  "submitted", "done_at", "response", "spans", "event")
@@ -123,17 +126,73 @@ class ShardTicket:
     def done(self) -> bool:
         return self.event.is_set()
 
+    @property
+    def message(self) -> tuple:
+        """The request message a shard serves this ticket from."""
+        return ("request", self.req_id, self.request, self.lane,
+                self.trace_ctx)
 
-class _ShardHandle:
-    """Process-mode bookkeeping for one worker."""
+    def resolve(self, response, done_at: float) -> None:
+        self.response, self.done_at = response, done_at
+        self.event.set()
 
-    __slots__ = ("process", "task_queue", "last_seen", "ready")
 
-    def __init__(self):
-        self.process = None
-        self.task_queue = None
-        self.last_seen = 0.0
-        self.ready = threading.Event()
+class _InlineShard:
+    """A shard in the router's process: ``put`` answers synchronously."""
+
+    def __init__(self, runtime: ShardRuntime,
+                 on_reply: Callable[[tuple], None]):
+        self.runtime = runtime
+        self.on_reply = on_reply
+        on_reply(("ready", runtime.shard_id, os.getpid()))
+
+    @property
+    def alive(self) -> bool:
+        return self.runtime.alive
+
+    def put(self, message: tuple) -> None:
+        for reply in self.runtime.process(message):
+            self.on_reply(reply)
+
+    def kill(self) -> None:
+        self.runtime.alive = False
+
+    def close(self) -> None:
+        pass
+
+
+class _ProcessShard:
+    """A shard in a forked worker process, fed through its task queue."""
+
+    runtime = None   # lives in the worker
+
+    def __init__(self, mp, shard: int, spec: Dict[str, object],
+                 result_queue):
+        self.task_queue = mp.Queue()
+        self.process = mp.Process(
+            target=shard_worker_main,
+            args=(shard, spec, self.task_queue, result_queue),
+            name=f"rtp-shard-{shard}", daemon=True)
+        self.process.start()
+
+    @property
+    def alive(self) -> bool:
+        return self.process.is_alive()
+
+    def put(self, message: tuple) -> None:
+        self.task_queue.put(message)
+
+    def kill(self) -> None:
+        self.process.terminate()
+        self.process.join(timeout=2.0)
+
+    def close(self) -> None:
+        """Stop the worker cleanly (or kill it); reap a dead one."""
+        if self.process.is_alive():
+            self.task_queue.put(("stop",))
+        self.process.join(timeout=2.0)
+        if self.process.is_alive():
+            self.kill()
 
 
 class _ShardTally:
@@ -189,13 +248,16 @@ class ShardRouter:
         The initial serving model; its config and state dict are
         serialized once and broadcast — live model objects never cross
         into workers.
+    inline:
+        Serve from in-process shard runtimes instead of worker
+        processes (see the module docstring).
     backlog_probe:
         Optional object with a ``pending`` attribute (the open-loop
         driver's :class:`~repro.load.BacklogProbe`) folded into the
         admission depth, so shedding responds to scheduled-but-unissued
         arrivals as well as dispatched in-flight work.
     service_wrapper:
-        Inline mode only: ``service_wrapper(shard_id)`` returns a
+        Inline shards only: ``service_wrapper(shard_id)`` returns a
         callable wrapping that shard's inner service (fault injection,
         modeled latency).  Not picklable, hence not available for
         worker processes.
@@ -237,40 +299,24 @@ class ShardRouter:
         self._feedback = None
         self._req_counter = 0
         self._lock = threading.Lock()
+        self._respawn_lock = threading.Lock()
         self._tallies = [_ShardTally()
                          for _ in range(self.config.num_shards)]
         self._versions: Dict[str, _VersionTally] = {}
         self._in_flight = [0] * self.config.num_shards
+        self._tickets: Dict[int, ShardTicket] = {}
+        self._control_events: Dict[tuple, threading.Event] = {}
+        self._pong_payloads: Dict[int, Dict] = {}
         self._init_metrics(metrics)
 
-        if inline:
-            if service_wrapper is not None:
-                self._wrappers = [service_wrapper(i)
-                                  for i in range(self.config.num_shards)]
-            else:
-                self._wrappers = [None] * self.config.num_shards
-            self.runtimes = [self._make_runtime(i)
-                             for i in range(self.config.num_shards)]
-        else:
-            import multiprocessing as mp
-            self._mp = mp.get_context("fork")
-            self._result_queue = self._mp.Queue()
-            self._handles = [_ShardHandle()
-                             for _ in range(self.config.num_shards)]
-            self._tickets: Dict[int, ShardTicket] = {}
-            self._control_events: Dict[tuple, threading.Event] = {}
-            self._pong_payloads: Dict[int, Dict] = {}
-            self._stopping = False
-            for shard in range(self.config.num_shards):
-                self._start_worker(shard)
-            self._collector = threading.Thread(
-                target=self._collect_loop, name="shard-router-collector",
-                daemon=True)
-            self._collector.start()
-            for shard, handle in enumerate(self._handles):
-                if not handle.ready.wait(self.config.health_timeout_s):
-                    raise RuntimeError(
-                        f"shard {shard} failed to become ready")
+        self._wrappers = ([service_wrapper(i)
+                           for i in range(self.config.num_shards)]
+                          if service_wrapper is not None
+                          else [None] * self.config.num_shards)
+        self._collector: Optional[threading.Thread] = None
+        self._stopping = False
+        self._shards: List = [None] * self.config.num_shards
+        self._start_shards(range(self.config.num_shards))
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -308,48 +354,44 @@ class ShardRouter:
         """The version every shard's primary lane is serving."""
         return self.lanes.primary.version
 
-    def _install_messages(self) -> List[tuple]:
-        """Messages that replay every non-primary lane onto a shard."""
-        return [spec.install(name)
-                for name, spec in self.lanes.extra_lanes().items()]
-
-    def _make_runtime(self, shard: int) -> ShardRuntime:
-        primary = self.lanes.primary
-        runtime = ShardRuntime(
-            shard, primary.model_config, primary.state, primary.version,
-            resilience=self.resilience,
-            cache_size=self.config.cache_size,
-            max_batch_size=self.config.max_batch_size,
-            clock=self.clock, service_wrapper=self._wrappers[shard],
-            sleep_latency_ms=self.config.sleep_latency_ms)
-        for message in self._install_messages():
-            runtime.process(message)
-        return runtime
-
     def _spec(self) -> Dict[str, object]:
+        """:class:`ShardRuntime` keyword arguments, as plain data."""
         primary = self.lanes.primary
         return {
             "model_config": primary.model_config, "state": primary.state,
             "version": primary.version, "resilience": self.resilience,
             "cache_size": self.config.cache_size,
             "max_batch_size": self.config.max_batch_size,
-            "heartbeat_s": self.config.heartbeat_s,
             "sleep_latency_ms": self.config.sleep_latency_ms,
         }
 
-    def _start_worker(self, shard: int) -> None:
-        handle = self._handles[shard]
-        handle.task_queue = self._mp.Queue()
-        handle.ready = threading.Event()
-        handle.process = self._mp.Process(
-            target=shard_worker_main,
-            args=(shard, self._spec(), handle.task_queue,
-                  self._result_queue),
-            name=f"rtp-shard-{shard}", daemon=True)
-        handle.process.start()
-        handle.last_seen = time.monotonic()
-        for message in self._install_messages():
-            handle.task_queue.put(message)
+    def _make_shard(self, shard: int):
+        """A fresh transport serving the current primary lane."""
+        if self.inline:
+            return _InlineShard(
+                ShardRuntime(shard, **self._spec(), clock=self.clock,
+                             service_wrapper=self._wrappers[shard]),
+                self._on_reply)
+        if self._collector is None:
+            import multiprocessing as mp
+            self._mp = mp.get_context("fork")
+            self._result_queue = self._mp.Queue()
+            self._collector = threading.Thread(
+                target=self._collect_loop, name="shard-router-collector",
+                daemon=True)
+            self._collector.start()
+        return _ProcessShard(self._mp, shard, self._spec(),
+                             self._result_queue)
+
+    def _start_shards(self, shards: Iterable[int]) -> None:
+        """Build shards from the lane table and wait until they are up."""
+        ready = {shard: self._expect("ready", shard) for shard in shards}
+        for shard in ready:
+            self._shards[shard] = self._make_shard(shard)
+            for name, spec in self.lanes.extra_lanes().items():
+                self._shards[shard].put(spec.install(name))
+        for shard in set(ready) - set(self._await(ready, "ready")):
+            raise RuntimeError(f"shard {shard} died before it was ready")
 
     # ------------------------------------------------------------------
     # Placement and admission
@@ -378,54 +420,50 @@ class ShardRouter:
             self._m_depth.labels(shard=str(shard)).set(depth)
             self._m_peak.labels(shard=str(shard)).set(tally.queue_peak)
 
-    def _shed(self, shard: int, request):
+    def _count_answer(self, version: str, degraded: bool,
+                      latency_ms: float) -> None:
+        """Tally one answer for ``version`` (caller holds the lock)."""
+        answers = self._versions.get(version)
+        if answers is None:
+            answers = self._versions[version] = _VersionTally()
+        answers.requests += 1
+        if degraded:
+            answers.degraded += 1
+        else:
+            answers.latency_sum_ms += latency_ms
+            answers.latency_count += 1
+
+    def _shed(self, shard: int, request, version: str):
         with self._lock:
             self._tallies[shard].shed += 1
+            self._count_answer(version, True, 0.0)
         if self.metrics is not None:
             self._m_shed.labels(shard=str(shard)).inc()
         if self.on_shed is not None:
             self.on_shed(shard)
         return degraded_response(self.fallback, request, "shed",
-                                 version=self.version)
+                                 version=version)
 
     def _record_answer(self, shard: int, response, latency_ms: float,
-                       trace_id: Optional[str] = None) -> None:
+                       trace_id: Optional[str]) -> None:
         with self._lock:
             tally = self._tallies[shard]
             tally.requests += 1
             tally.latencies_ms.append(latency_ms)
-            answers = self._versions.get(response.model_version)
-            if answers is None:
-                answers = _VersionTally()
-                self._versions[response.model_version] = answers
-            answers.requests += 1
-            if response.degraded:
-                answers.degraded += 1
-            else:
-                answers.latency_sum_ms += latency_ms
-                answers.latency_count += 1
+            self._count_answer(response.model_version, response.degraded,
+                               latency_ms)
         if self.metrics is not None:
             self._m_requests.labels(shard=str(shard)).inc()
             self._m_latency.labels(shard=str(shard)).observe(
                 latency_ms, trace_id=trace_id)
 
     # ------------------------------------------------------------------
-    # Serving
+    # Serving: one lifecycle for every shard transport
     # ------------------------------------------------------------------
     def handle(self, request):
         """Answer one request synchronously (sheds instead of queueing)."""
-        shard = self.place(request)
-        with tracing.span("shard.route", shard=shard) as route_span:
-            depth = self._depth(shard)
-            self._note_depth(shard, depth)
-            if depth >= self.config.max_queue_depth:
-                return self._shed(shard, request)
-            lane = self.lanes.route(request)[0]
-            if self.inline:
-                return self._dispatch_inline(shard, request, lane,
-                                             route_span)
-            ticket = self._submit(shard, request, lane)
-            return self._wait(ticket)
+        with tracing.span("shard.route", shard=self.place(request)):
+            return self._wait(self.submit(request))
 
     def attach_feedback(self, sink) -> None:
         """Register a completed-route sink (e.g. ``OnlineLoop``).
@@ -445,121 +483,83 @@ class ShardRouter:
             request, response, actual_route, actual_arrival_minutes))
 
     def submit(self, request) -> ShardTicket:
-        """Pipelined submission (process mode): returns a ticket.
+        """Route, admit and dispatch one request; returns its ticket.
 
-        Shed and degraded-by-death answers come back as already-done
-        tickets, so callers treat every submission uniformly.
+        The lane is drawn first, so a shed answer is stamped with the
+        routed lane's version and counted in that version's tallies.
+        Shed answers come back as already-done tickets (inline shards
+        resolve every ticket before it is returned), so callers treat
+        every submission uniformly.
         """
-        if self.inline:
-            raise RuntimeError("submit() requires process mode; "
-                               "inline routers are synchronous")
         shard = self.place(request)
+        lane, spec = self.lanes.route(request)
         depth = self._depth(shard)
         self._note_depth(shard, depth)
         if depth >= self.config.max_queue_depth:
-            response = self._shed(shard, request)
-            ticket = ShardTicket(-1, shard, request, PRIMARY, None,
-                                 self.clock())
-            ticket.response = response
-            ticket.done_at = self.clock()
-            ticket.event.set()
+            ticket = ShardTicket(-1, shard, request, lane, None, self.clock())
+            ticket.resolve(self._shed(shard, request, spec.version),
+                           self.clock())
             return ticket
-        return self._submit(shard, request, self.lanes.route(request)[0])
-
-    # -- inline ---------------------------------------------------------
-    def _dispatch_inline(self, shard: int, request, lane: str, route_span):
-        runtime = self.runtimes[shard]
-        if not runtime.alive:
-            self._respawn_inline(shard)
-            runtime = self.runtimes[shard]
-        self._in_flight[shard] += 1
-        started = self.clock()
-        try:
-            ctx = capture_context()
-            reply = runtime.process(
-                ("request", self._next_req_id(), request, lane, ctx))[0]
-        finally:
-            self._in_flight[shard] -= 1
-        response, spans = reply[3], reply[4]
-        merge_worker_spans(spans, ctx)
-        self._record_answer(shard, response,
-                            (self.clock() - started) * 1000.0,
-                            trace_id=route_span.trace_id)
-        return response
-
-    def _respawn_inline(self, shard: int) -> None:
-        self._bump_respawn(shard)
-        self.runtimes[shard] = self._make_runtime(shard)
-
-    def _bump_respawn(self, shard: int) -> None:
-        tally = self._tallies[shard]
-        if tally.respawns >= self.config.max_respawns:
-            raise RuntimeError(
-                f"shard {shard} exceeded its respawn budget "
-                f"({self.config.max_respawns})")
-        tally.respawns += 1
-        if self.metrics is not None:
-            self._m_respawns.labels(shard=str(shard)).inc()
-        if self.on_respawn is not None:
-            self.on_respawn(shard)
-
-    def _next_req_id(self) -> int:
-        with self._lock:
-            self._req_counter += 1
-            return self._req_counter
-
-    # -- process mode ---------------------------------------------------
-    def _submit(self, shard: int, request, lane: str) -> ShardTicket:
-        handle = self._handles[shard]
-        if not handle.process.is_alive():
-            self._respawn_process(shard)
+        if not self._shards[shard].alive:
+            self._respawn(shard)
         ticket = ShardTicket(self._next_req_id(), shard, request, lane,
                              capture_context(), self.clock())
         with self._lock:
             self._tickets[ticket.req_id] = ticket
             self._in_flight[shard] += 1
-        handle.task_queue.put(("request", ticket.req_id, request, lane,
-                               ticket.trace_ctx))
+        try:
+            self._shards[shard].put(ticket.message)
+        except BaseException:
+            self._forget(ticket)
+            raise
         return ticket
+
+    def wait_all(self, tickets: List[ShardTicket]) -> List:
+        """Resolve a batch of tickets (pipelined callers)."""
+        return [self._wait(ticket) for ticket in tickets]
 
     def _wait(self, ticket: ShardTicket):
         """Block until a ticket resolves; respawn its shard if it dies."""
         deadline = time.monotonic() + self.config.health_timeout_s
         while not ticket.event.wait(timeout=0.05):
-            handle = self._handles[ticket.shard]
-            if not handle.process.is_alive():
-                self._respawn_process(ticket.shard)
+            if not self._shards[ticket.shard].alive:
+                self._respawn(ticket.shard)
             if time.monotonic() > deadline:
-                with self._lock:
-                    self._tickets.pop(ticket.req_id, None)
-                    self._in_flight[ticket.shard] = max(
-                        0, self._in_flight[ticket.shard] - 1)
+                self._forget(ticket)
                 return degraded_response(
                     self.fallback, ticket.request, "error",
                     version=self.version)
         merge_worker_spans(ticket.spans, ticket.trace_ctx)
         return ticket.response
 
-    def wait_all(self, tickets: List[ShardTicket]) -> List:
-        """Resolve a batch of tickets (pipelined callers)."""
-        return [self._wait(ticket) for ticket in tickets]
-
-    def _respawn_process(self, shard: int) -> None:
+    def _forget(self, ticket: ShardTicket) -> None:
+        """Stop waiting for a ticket's reply (a late one is dropped)."""
         with self._lock:
-            handle = self._handles[shard]
-            if handle.process.is_alive():   # another thread got here first
-                return
-            self._bump_respawn(shard)
-            outstanding = [t for t in self._tickets.values()
-                           if t.shard == shard and not t.done]
-            self._in_flight[shard] = len(outstanding)
-        handle.process.join(timeout=1.0)
-        self._start_worker(shard)
-        if not handle.ready.wait(self.config.health_timeout_s):
-            raise RuntimeError(f"respawned shard {shard} never became ready")
-        for ticket in outstanding:   # resubmit, nothing is dropped
-            handle.task_queue.put(("request", ticket.req_id, ticket.request,
-                                   ticket.lane, ticket.trace_ctx))
+            if self._tickets.pop(ticket.req_id, None) is not None:
+                self._in_flight[ticket.shard] -= 1
+
+    def _on_reply(self, message: tuple) -> None:
+        """Take one shard reply: resolve its ticket or set its ack."""
+        kind, shard = message[0], message[1]
+        if kind != "response":
+            if kind == "pong":
+                self._pong_payloads[shard] = message[3]
+            event = self._control_events.get((kind, shard))
+            if event is not None:
+                event.set()
+            return
+        _, _, req_id, response, spans = message
+        with self._lock:
+            ticket = self._tickets.pop(req_id, None)
+            if ticket is None:
+                return   # late duplicate after a respawn resubmit
+            self._in_flight[shard] -= 1
+        done_at = self.clock()
+        self._record_answer(
+            shard, response, (done_at - ticket.submitted) * 1000.0,
+            ticket.trace_ctx[0] if ticket.trace_ctx is not None else None)
+        ticket.spans = spans
+        ticket.resolve(response, done_at)
 
     def _collect_loop(self) -> None:
         import queue as queue_mod
@@ -568,73 +568,79 @@ class ShardRouter:
                 message = self._result_queue.get(timeout=0.1)
             except queue_mod.Empty:
                 continue
-            kind = message[0]
-            if kind == "response":
-                _, shard, req_id, response, spans = message
-                with self._lock:
-                    ticket = self._tickets.pop(req_id, None)
-                    if ticket is not None:
-                        self._in_flight[shard] = max(
-                            0, self._in_flight[shard] - 1)
-                if ticket is None:
-                    continue   # late duplicate after a respawn resubmit
-                ticket.response = response
-                ticket.spans = spans
-                ticket.done_at = self.clock()
-                latency_ms = (ticket.done_at - ticket.submitted) * 1000.0
-                self._record_answer(shard, response, latency_ms)
-                ticket.event.set()
-                self._handles[shard].last_seen = time.monotonic()
-            elif kind == "ready":
-                _, shard, _pid = message
-                self._handles[shard].last_seen = time.monotonic()
-                self._handles[shard].ready.set()
-            elif kind == "heartbeat":
-                self._handles[message[1]].last_seen = time.monotonic()
-            elif kind == "pong":
-                _, shard, _ping_id, payload = message
-                self._pong_payloads[shard] = payload
-                event = self._control_events.get(("pong", shard))
-                if event is not None:
-                    event.set()
-            elif kind in ("swapped", "installed", "uninstalled", "stopped"):
-                shard = message[1]
-                self._handles[shard].last_seen = time.monotonic()
-                event = self._control_events.get((kind, shard))
-                if event is not None:
-                    event.set()
+            self._on_reply(message)
 
-    def _broadcast(self, message: tuple, ack_kind: str) -> None:
-        events = {}
-        for shard, handle in enumerate(self._handles):
-            if not handle.process.is_alive():
-                self._respawn_process(shard)  # fresh spec already applied
-                continue
-            event = threading.Event()
-            self._control_events[(ack_kind, shard)] = event
-            events[shard] = event
-            handle.task_queue.put(message)
+    def _next_req_id(self) -> int:
+        with self._lock:
+            self._req_counter += 1
+            return self._req_counter
+
+    def _respawn(self, shard: int) -> None:
+        """Rebuild a dead shard from the lane table; resubmit its work."""
+        with self._respawn_lock:
+            if self._shards[shard].alive:   # another thread got here first
+                return
+            tally = self._tallies[shard]
+            if tally.respawns >= self.config.max_respawns:
+                raise RuntimeError(
+                    f"shard {shard} exceeded its respawn budget "
+                    f"({self.config.max_respawns})")
+            tally.respawns += 1
+            if self.metrics is not None:
+                self._m_respawns.labels(shard=str(shard)).inc()
+            if self.on_respawn is not None:
+                self.on_respawn(shard)
+            with self._lock:
+                outstanding = [t for t in self._tickets.values()
+                               if t.shard == shard]
+            self._shards[shard].close()
+            self._start_shards([shard])
+            for ticket in outstanding:   # resubmit, nothing is dropped
+                self._shards[shard].put(ticket.message)
+
+    # ------------------------------------------------------------------
+    # Control messages: live shards only, acked behind their queues
+    # ------------------------------------------------------------------
+    def _expect(self, kind: str, shard: int) -> threading.Event:
+        event = threading.Event()
+        self._control_events[(kind, shard)] = event
+        return event
+
+    def _await(self, events: Dict[int, threading.Event],
+               kind: str) -> List[int]:
+        """Wait for each shard's ``kind`` reply; returns who answered.
+
+        A shard that dies meanwhile is skipped (it is rebuilt on its
+        next request); a live one silent past ``health_timeout_s``
+        raises, naming the shard.
+        """
+        answered = []
         for shard, event in events.items():
-            if not event.wait(self.config.health_timeout_s):
-                if not self._handles[shard].process.is_alive():
-                    self._respawn_process(shard)
-                else:
+            deadline = time.monotonic() + self.config.health_timeout_s
+            while (not event.wait(timeout=0.05)
+                   and self._shards[shard].alive):
+                if time.monotonic() > deadline:
+                    self._control_events.pop((kind, shard), None)
                     raise RuntimeError(
-                        f"shard {shard} did not ack {ack_kind} in time")
-            self._control_events.pop((ack_kind, shard), None)
+                        f"shard {shard} sent no {kind!r} within "
+                        f"{self.config.health_timeout_s} s")
+            self._control_events.pop((kind, shard), None)
+            if event.is_set():
+                answered.append(shard)
+        return answered
+
+    def _send_all(self, message: tuple, ack_kind: str) -> List[int]:
+        """Apply a message on every live shard; returns the ackers."""
+        events = {}
+        for shard, transport in enumerate(self._shards):
+            if transport.alive:
+                events[shard] = self._expect(ack_kind, shard)
+                transport.put(message)
+        return self._await(events, ack_kind)
 
     # ------------------------------------------------------------------
     # Lifecycle: swap, canary, kill, shutdown
     # ------------------------------------------------------------------
-    def _send_all(self, message: tuple, ack_kind: str) -> None:
-        """Apply a control message on every shard, behind its queue."""
-        if self.inline:
-            for runtime in self.runtimes:
-                if runtime.alive:
-                    runtime.process(message)
-        else:
-            self._broadcast(message, ack_kind)
-
     def swap_to(self, version: str, model) -> None:
         """Hot-swap every shard's primary to ``model`` (drains FIFO)."""
         spec = _ModelSpec.of(version, model)
@@ -699,47 +705,32 @@ class ShardRouter:
 
     def kill_shard(self, shard: int) -> None:
         """Kill one shard (tests / kill scenarios); respawn is lazy."""
-        if self.inline:
-            self.runtimes[shard].alive = False
-        else:
-            self._handles[shard].process.terminate()
-            self._handles[shard].process.join(timeout=2.0)
+        self._shards[shard].kill()
 
     def alive_shards(self) -> List[int]:
-        if self.inline:
-            return [i for i, r in enumerate(self.runtimes) if r.alive]
-        return [i for i, h in enumerate(self._handles)
-                if h.process.is_alive()]
-
-    def heartbeat_ages(self) -> List[float]:
-        """Seconds since each shard was last heard from (process mode)."""
-        if self.inline:
-            return [0.0] * self.num_shards
-        now = time.monotonic()
-        return [now - h.last_seen for h in self._handles]
+        return [i for i, transport in enumerate(self._shards)
+                if transport.alive]
 
     def shutdown(self) -> None:
-        if self.inline:
-            return
-        self._stopping = True
-        for handle in self._handles:
-            if handle.process.is_alive():
-                handle.task_queue.put(("stop",))
-        for handle in self._handles:
-            handle.process.join(timeout=2.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=1.0)
-        self._collector.join(timeout=2.0)
+        """Stop every worker process (inline shards have none)."""
+        for transport in self._shards:
+            transport.close()
+        if self._collector is not None:
+            self._stopping = True
+            self._collector.join(timeout=2.0)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
+    def runtimes(self) -> List[ShardRuntime]:
+        """In-process shard runtimes (none when shards are workers)."""
+        return [transport.runtime for transport in self._shards
+                if transport.runtime is not None]
+
+    @property
     def breakers(self) -> List[object]:
         """Inline lanes' circuit breakers (for scenario breaker watch)."""
-        if not self.inline:
-            return []
         return [lane.resilient.breaker for runtime in self.runtimes
                 for lane in (runtime.primary,
                              *runtime.lanes.extra_lanes().values())]
@@ -764,8 +755,9 @@ class ShardRouter:
 
     def lane_stats(self, version: str) -> Dict[str, float]:
         """Answers stamped with ``version`` since its canary started:
-        counts, degraded count, and mean dispatch-to-answer latency of
-        the non-degraded ones (0 when there are none)."""
+        counts (sheds included), degraded count, and mean
+        dispatch-to-answer latency of the non-degraded ones (0 when
+        there are none)."""
         with self._lock:
             tally = self._versions.get(version) or _VersionTally()
             return {
@@ -776,22 +768,10 @@ class ShardRouter:
             }
 
     def worker_stats(self) -> List[Dict[str, object]]:
-        """Worker-side stats snapshots (ping/pong in process mode)."""
-        if self.inline:
-            return [runtime.stats() for runtime in self.runtimes
-                    if runtime.alive]
-        ping_id = self._next_req_id()
-        events = {}
-        for shard, handle in enumerate(self._handles):
-            if not handle.process.is_alive():
-                continue
-            event = threading.Event()
-            self._control_events[("pong", shard)] = event
-            events[shard] = event
-            handle.task_queue.put(("ping", ping_id))
-        payloads = []
-        for shard, event in events.items():
-            if event.wait(self.config.health_timeout_s):
-                payloads.append(self._pong_payloads[shard])
-            self._control_events.pop(("pong", shard), None)
-        return payloads
+        """Shard-side stats snapshots of every live shard (ping/pong).
+
+        A live shard that sends no pong within ``health_timeout_s``
+        raises, naming the shard, rather than leaving a short list.
+        """
+        answered = self._send_all(("ping", self._next_req_id()), "pong")
+        return [self._pong_payloads.pop(shard) for shard in answered]

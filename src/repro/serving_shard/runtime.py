@@ -2,30 +2,31 @@
 
 A :class:`ShardRuntime` is everything one serving shard owns — rebuilt
 from plain data (model config dict + state-dict arrays) so the same
-class backs both deployment modes of the
+class backs both shard transports of the
 :class:`~repro.serving_shard.ShardRouter`:
 
-* **process mode** — :func:`shard_worker_main` constructs the runtime
-  *inside* the worker process from the spec message, so nothing built
-  in the router process (model, caches, buffer pools) is ever shared
-  through ``fork``;
-* **inline mode** — the router holds N runtimes in-process (the
-  deterministic virtual-clock path of the load scenarios); each enters
-  its own :func:`~repro.kernels.workspace_scope` around request work
-  so the fused kernels draw from per-shard scratch pools even on a
-  shared thread.
+* **worker process** — :func:`shard_worker_main` constructs the
+  runtime *inside* the worker process from the spec message, so
+  nothing built in the router process (model, caches, buffer pools) is
+  ever shared through ``fork``;
+* **inline** — the router holds the runtime in-process and hands it
+  each message synchronously (the deterministic virtual-clock path of
+  the load scenarios); each runtime enters its own
+  :func:`~repro.kernels.workspace_scope` around request work so the
+  fused kernels draw from per-shard scratch pools even on a shared
+  thread.
 
-Per shard, the stack is the full single-process serving story:
+Either way the runtime speaks one message protocol (plain tuples in,
+reply tuples out).  Per shard, each lane of a
+:class:`~repro.deploy.lanes.LaneTable` is an
 :class:`~repro.service.RTPService` (own :class:`~repro.service.GraphCache`)
-under a :class:`~repro.service.MicroBatcher` (drained request messages
-flush as one padded batched forward), wrapped by
-:class:`~repro.deploy.ResilientRTPService` (deadline/breaker/fallback,
-fixed ``model_version`` stamp per installed version), one per lane of
-a :class:`~repro.deploy.lanes.LaneTable`.  Hot model swap and lane
-install/uninstall arrive as queue messages; FIFO ordering is
-what makes a swap *drain* — every request enqueued before the swap
-message is answered by the old version, every one after by the new,
-and no request is ever dropped.
+wrapped by :class:`~repro.deploy.ResilientRTPService`
+(deadline/breaker/fallback, fixed ``model_version`` stamp per installed
+version); the request messages one wake-up drains are served as one
+batched call per lane.  Hot model swap and lane install/uninstall
+arrive as queue messages; FIFO ordering is what makes a swap *drain* —
+every request enqueued before the swap message is answered by the old
+version, every one after by the new, and no request is ever dropped.
 """
 
 from __future__ import annotations
@@ -44,13 +45,10 @@ from ..deploy.resilience import ResilienceConfig, ResilientRTPService
 from ..kernels import Workspace, workspace_scope
 from ..obs import tracing
 from ..obs.propagate import worker_span_session
-from ..service import MicroBatcher, RTPService
+from ..service import RTPService
 
 #: Exit code a worker uses for injected crashes (mirrors repro.parallel).
 CRASH_EXIT_CODE = 23
-
-#: Seconds a worker waits for a message before emitting a heartbeat.
-DEFAULT_HEARTBEAT_S = 0.25
 
 
 def build_model(model_config: Dict[str, object],
@@ -68,69 +66,11 @@ def build_model(model_config: Dict[str, object],
     return model
 
 
-class _BatcherFrontend:
-    """Service facade routing every call through a :class:`MicroBatcher`.
-
-    ``handle_batch`` submits all members then flushes once, so a
-    drained message batch of any size becomes a single padded forward
-    through :meth:`RTPService.handle_batch`.  The lane only ever calls
-    :meth:`ResilientRTPService.handle_batch`, so no ``handle`` is needed.
-    """
-
-    def __init__(self, batcher: MicroBatcher):
-        self.batcher = batcher
-
-    def handle_batch(self, requests: Sequence) -> List:
-        tickets = [self.batcher.submit(request) for request in requests]
-        self.batcher.flush()
-        return [ticket.result() for ticket in tickets]
-
-
-class SleepLatencyService:
-    """Wall-clock modeled-latency shim around an inner service.
-
-    The real tiny model's forward is a few CPU-bound milliseconds, so
-    on a small host N worker processes cannot beat one process on
-    compute alone.  Real serving cost is dominated by I/O-shaped time
-    (feature fetches, map services); this shim models it as a seeded
-    lognormal *sleep*, which overlaps across processes — the wall-mode
-    soak bench measures the sharded tier's actual concurrency win.
-    One cost is charged per call (batched or not), mirroring
-    :class:`~repro.load.clock.ModeledLatencyService`; unlike that
-    class this one is built *inside* the worker from plain spec data
-    (``sleep_latency_ms``), so it crosses the fork as numbers, not
-    closures.
-    """
-
-    def __init__(self, inner, base_ms: float, seed: int = 0,
-                 sigma: float = 0.25, sleeper=time.sleep):
-        self.inner = inner
-        self.base_ms = float(base_ms)
-        self.sigma = float(sigma)
-        self.sleeper = sleeper
-        self.rng = np.random.default_rng(seed)
-
-    def _charge(self) -> None:
-        jitter = float(self.rng.lognormal(mean=0.0, sigma=self.sigma))
-        self.sleeper(self.base_ms * jitter / 1000.0)
-
-    def handle(self, request):
-        self._charge()
-        return self.inner.handle(request)
-
-    def handle_batch(self, requests: Sequence) -> List:
-        self._charge()
-        return self.inner.handle_batch(list(requests))
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
 class _Lane:
-    """One installed model version: service + batcher + resilient wrap."""
+    """One installed model version: its service behind a resilient wrap."""
 
     def __init__(self, version: str, model: M2G4RTP, *,
-                 cache_size: int, max_batch_size: int,
+                 cache_size: int,
                  resilience: ResilienceConfig,
                  fallback: FallbackPredictor,
                  clock: Callable[[], float],
@@ -139,11 +79,8 @@ class _Lane:
         self.service = RTPService(model, cache_size=cache_size)
         inner = (service_wrapper(self.service) if service_wrapper is not None
                  else self.service)
-        self.batcher = MicroBatcher(inner, max_batch_size=max_batch_size,
-                                    max_wait_ms=0.0, clock=clock)
         self.resilient = ResilientRTPService(
-            _BatcherFrontend(self.batcher), fallback=fallback,
-            config=resilience, batcher=self.batcher, version=version,
+            inner, fallback=fallback, config=resilience, version=version,
             clock=clock)
 
 
@@ -152,10 +89,11 @@ class ShardRuntime:
 
     Parameters mirror what fits in a picklable spec message: the model
     arrives as ``(model_config, state)`` plain data, never as a live
-    object.  ``service_wrapper`` (inline mode only — closures do not
+    object.  ``service_wrapper`` (inline shards only — closures do not
     cross process boundaries) wraps the inner service per lane, which
     is how the load scenarios install fault injection and
-    modeled-latency shims per shard.
+    modeled-latency shims per shard; ``sleep_latency_ms`` is the
+    plain-data way to the same modeled cost in a worker process.
     """
 
     def __init__(self, shard_id: int, model_config: Dict[str, object],
@@ -172,11 +110,13 @@ class ShardRuntime:
         self.max_batch_size = max_batch_size
         self.resilience = resilience or ResilienceConfig()
         if service_wrapper is None and sleep_latency_ms > 0.0:
-            # Spec-data path for process workers: the shim is built here,
-            # post-fork, from plain numbers (see SleepLatencyService).
+            # Spec-data path for process workers: the modeled cost is
+            # built here, post-fork, from plain numbers, and slept.
+            from ..load.clock import ModeledLatencyService
             service_wrapper = (
-                lambda inner: SleepLatencyService(
-                    inner, sleep_latency_ms, seed=1000 + self.shard_id))
+                lambda inner: ModeledLatencyService(
+                    inner, time.sleep, sleep_latency_ms, sigma=0.25,
+                    seed=1000 + self.shard_id))
         self.service_wrapper = service_wrapper
         self.fallback = FallbackPredictor()
         #: Per-shard scratch pool for the fused kernels; entered via
@@ -201,7 +141,6 @@ class ShardRuntime:
                    state: Dict[str, np.ndarray], version: str) -> _Lane:
         return _Lane(version, build_model(model_config, state),
                      cache_size=self.cache_size,
-                     max_batch_size=self.max_batch_size,
                      resilience=self.resilience, fallback=self.fallback,
                      clock=self.clock,
                      service_wrapper=self.service_wrapper)
@@ -240,8 +179,8 @@ class ShardRuntime:
     def process_requests(self, messages: Sequence[Tuple]) -> List[Tuple]:
         """Serve a drained batch of request messages.
 
-        Messages are grouped by lane (primary vs canary candidate) and
-        each group flushes as one micro-batch; reply order matches
+        Messages are grouped by lane (primary, canary candidate, regime
+        lanes) and each group is one batched call; reply order matches
         message order.  Worker-side spans are captured under a session
         keyed by the first message that shipped a trace context and
         returned with that message's reply (one flush serves many
@@ -286,8 +225,6 @@ class ShardRuntime:
             "regimes": dict(sorted(self.lanes.regime_versions().items())),
             "requests": self.requests,
             "swaps": self.swaps,
-            "batches_flushed": self.primary.batcher.batches_flushed,
-            "requests_flushed": self.primary.batcher.requests_flushed,
             "cache_hits": cache.hits if cache is not None else 0,
             "cache_misses": cache.misses if cache is not None else 0,
             "resilient": self.primary.resilient.snapshot(),
@@ -298,31 +235,21 @@ def shard_worker_main(shard_id: int, spec: Dict[str, object],
                       task_queue, result_queue) -> None:
     """Entry point of one shard worker process.
 
-    Builds the runtime from the plain-data ``spec`` (model config,
-    state arrays, knobs) *after* the fork, announces readiness, then
-    loops: drain up to ``max_batch_size`` consecutive request messages
-    per wake-up (they flush as one padded batch), answer control
-    messages in arrival order, emit a heartbeat when idle.  ``stop``
+    Builds the runtime from the plain-data ``spec`` (the
+    :class:`ShardRuntime` keyword arguments) *after* the fork, announces
+    readiness, then loops: drain up to ``max_batch_size`` consecutive
+    request messages per wake-up (each lane's share is one batched
+    call) and answer control messages in arrival order.  ``stop``
     exits the loop cleanly.
     """
-    runtime = ShardRuntime(
-        shard_id, spec["model_config"], spec["state"], spec["version"],
-        resilience=spec.get("resilience"),
-        cache_size=spec.get("cache_size", 32),
-        max_batch_size=spec.get("max_batch_size", 8),
-        sleep_latency_ms=spec.get("sleep_latency_ms", 0.0))
-    heartbeat_s = spec.get("heartbeat_s", DEFAULT_HEARTBEAT_S)
+    runtime = ShardRuntime(shard_id, **spec)
     result_queue.put(("ready", shard_id, os.getpid()))
     held: Optional[Tuple] = None
     while True:
         if held is not None:
             message, held = held, None
         else:
-            try:
-                message = task_queue.get(timeout=heartbeat_s)
-            except queue.Empty:
-                result_queue.put(("heartbeat", shard_id, time.monotonic()))
-                continue
+            message = task_queue.get()
         if message[0] == "stop":
             result_queue.put(("stopped", shard_id))
             return

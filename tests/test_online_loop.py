@@ -569,7 +569,7 @@ class TestWeatherCoupledSlowdown:
     def test_storm_costs_more_virtual_time(self):
         clock = VirtualClock()
         service = ModeledLatencyService(
-            _EchoService(), clock, base_ms=15.0, seed=0,
+            _EchoService(), clock.advance, base_ms=15.0, seed=0,
             weather_factors=WEATHER_SERVICE_SLOWDOWN)
         before = clock.now()
         service.handle(_WeatherRequest(weather=0))
@@ -577,7 +577,7 @@ class TestWeatherCoupledSlowdown:
 
         clock2 = VirtualClock()
         service2 = ModeledLatencyService(
-            _EchoService(), clock2, base_ms=15.0, seed=0,
+            _EchoService(), clock2.advance, base_ms=15.0, seed=0,
             weather_factors=WEATHER_SERVICE_SLOWDOWN)
         service2.handle(_WeatherRequest(weather=3))
         storm_cost = clock2.now()
@@ -590,7 +590,7 @@ class TestWeatherCoupledSlowdown:
         for factors in (None, WEATHER_SERVICE_SLOWDOWN):
             clock = VirtualClock()
             service = ModeledLatencyService(
-                _EchoService(), clock, base_ms=15.0, seed=42,
+                _EchoService(), clock.advance, base_ms=15.0, seed=42,
                 weather_factors=factors)
             stamps = []
             for _ in range(16):

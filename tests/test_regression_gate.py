@@ -79,6 +79,15 @@ class TestCompare:
             artifact(decisions=[{"action": "promote", "version": "v003"}]))
         assert any("decisions" in e for e in errors)
 
+    def test_shard_queue_peak_pinned(self):
+        shard = {"shard": 0, "requests": 40, "shed": 2, "respawns": 0,
+                 "swaps": 0, "queue_peak": 16, "p99_ms": 20.0}
+        current, baseline = artifact(), artifact()
+        current["shards"] = [dict(shard, queue_peak=17)]
+        baseline["shards"] = [shard]
+        errors, _ = compare(current, baseline)
+        assert any("per-shard counters" in e for e in errors)
+
     def test_drift_alarms_pinned(self):
         quality = {"verdict": "drift", "observations": 80,
                    "alarms": [{"metric": "eta_mae",

@@ -29,12 +29,14 @@ import numpy as np
 import pytest
 
 from repro.core import M2G4RTP, M2G4RTPConfig
-from repro.deploy import DeploymentController, ModelRegistry, RolloutPolicy
+from repro.deploy import (DeploymentController, ModelRegistry,
+                          ResilienceConfig, RolloutPolicy)
 from repro.load import VirtualClock
-from repro.obs import disable_tracing, enable_tracing
+from repro.obs import MetricsRegistry, disable_tracing, enable_tracing
 from repro.service import RTPRequest
+from repro.load.clock import ModeledLatencyService
 from repro.serving_shard import (ShardConfig, ShardRouter, ShardRuntime,
-                                 SleepLatencyService, build_model)
+                                 build_model)
 
 
 def tiny_model(seed: int = 3) -> M2G4RTP:
@@ -62,6 +64,9 @@ def make_router(num_shards=2, **kwargs) -> ShardRouter:
 #: Serving topologies one DeploymentController can drive.
 TOPOLOGIES = ("inprocess", "shards1", "shards2")
 
+#: Admission bound every make_controller topology sheds at.
+SHED_DEPTH = 4
+
 
 @pytest.fixture()
 def registry(tmp_path):
@@ -73,17 +78,25 @@ def registry(tmp_path):
     return registry
 
 
-def make_controller(registry, topology, seed=0, **router_kwargs):
-    """A controller serving v001 in ``topology``; verdicts stay manual."""
+def make_controller(registry, topology, seed=0, backlog=None,
+                    **router_kwargs):
+    """A controller serving v001 in ``topology``; verdicts stay manual.
+
+    ``backlog`` (anything with ``pending``) is the admission signal;
+    every topology sheds once it reaches :data:`SHED_DEPTH`.
+    """
     policy = RolloutPolicy(min_requests=10 ** 9)
     if topology == "inprocess":
-        return DeploymentController(registry, initial="v001", seed=seed,
-                                    policy=policy)
+        return DeploymentController(
+            registry, initial="v001", seed=seed, policy=policy,
+            resilience=ResilienceConfig(max_queue_depth=SHED_DEPTH),
+            batcher=backlog)
     model, _ = registry.load("v001")
     router = ShardRouter(
         model, version="v001", inline=True,
-        config=ShardConfig(num_shards=int(topology[-1]), seed=seed),
-        **router_kwargs)
+        config=ShardConfig(num_shards=int(topology[-1]), seed=seed,
+                           max_queue_depth=SHED_DEPTH),
+        backlog_probe=backlog, **router_kwargs)
     return DeploymentController(registry, router=router, policy=policy)
 
 
@@ -187,7 +200,6 @@ class TestShardIsolation:
         lanes = [runtime.primary for runtime in router.runtimes]
         assert lanes[0].service is not lanes[1].service
         assert lanes[0].service.cache is not lanes[1].service.cache
-        assert lanes[0].batcher is not lanes[1].batcher
 
     def test_spec_is_plain_data(self):
         """The worker spec must cross fork as pickled values — no live
@@ -385,6 +397,34 @@ class TestLaneConformance:
                 == sequences["shards2"])
         assert set(sequences["inprocess"]) == {"v001", "v002", "v003"}
 
+    def test_shed_burst_draws_the_lane_before_admission(self, registry,
+                                                         requests):
+        """A backlog burst over the admission bound mid-canary: every
+        topology sheds the same requests, stamps each shed with its
+        routed lane's version, keeps the same split afterwards, and
+        counts the candidate's sheds in its rollout evidence."""
+        outcomes = {}
+        for topology in TOPOLOGIES:
+            backlog = SimpleNamespace(pending=0)
+            controller = make_controller(registry, topology, seed=11,
+                                         backlog=backlog)
+            controller.start_canary("v002", fraction=0.3)
+            served = []
+            for index, request in enumerate(requests):
+                backlog.pending = 10 if 10 <= index <= 15 else 0
+                response = controller.handle(request)
+                served.append((response.model_version,
+                               response.degraded_reason))
+            decision = controller.rollback(reason="test")
+            outcomes[topology] = (served, decision.candidate_requests,
+                                  decision.candidate_degraded_rate)
+        assert (outcomes["inprocess"] == outcomes["shards1"]
+                == outcomes["shards2"])
+        served = outcomes["inprocess"][0]
+        assert ("v002", "shed") in served, "the burst must hit the canary"
+        assert ("v001", "shed") in served
+        assert sum(reason == "shed" for _, reason in served) == 6
+
 
 class TestTopologyRollouts:
     def test_sharded_decision_describes_the_candidate_lane(self, registry,
@@ -443,6 +483,65 @@ class TestTopologyRollouts:
 
 
 # ----------------------------------------------------------------------
+# One request lifecycle, either shard transport
+# ----------------------------------------------------------------------
+def assert_same_answers(left, right):
+    assert len(left) == len(right)
+    for a, b in zip(left, right):
+        assert a.model_version == b.model_version
+        assert a.degraded_reason == b.degraded_reason
+        assert np.array_equal(a.route, b.route)
+        assert a.eta_minutes.tobytes() == b.eta_minutes.tobytes()
+
+
+class TestOneLifecycle:
+    def test_inline_and_process_shards_answer_identically(self, requests):
+        """Canary at 0.3 and a mid-stream swap: an inline router and a
+        two-process router give bitwise-equal answers and counts."""
+        answers, counts = {}, {}
+        for inline in (True, False):
+            router = ShardRouter(tiny_model(), version="v001",
+                                 config=ShardConfig(num_shards=2, seed=11),
+                                 inline=inline)
+            try:
+                router.start_canary("v002", tiny_model(seed=9), 0.3)
+                served = []
+                for index, request in enumerate(requests):
+                    if index == len(requests) // 2:
+                        router.swap_to("v003", tiny_model(seed=7))
+                    served.append(router.handle(request))
+            finally:
+                router.shutdown()
+            answers[inline] = served
+            counts[inline] = [(s["requests"], s["shed"], s["swaps"])
+                              for s in router.shard_stats()]
+        assert_same_answers(answers[True], answers[False])
+        assert counts[True] == counts[False]
+        assert {a.model_version for a in answers[True]} == {
+            "v001", "v002", "v003"}
+
+    def test_inline_submit_and_wait_all_equal_handle(self, requests):
+        answers = []
+        for pipelined in (False, True):
+            router = make_router(config=ShardConfig(num_shards=2, seed=4))
+            router.start_canary("v002", tiny_model(seed=9), fraction=0.5)
+            if pipelined:
+                tickets = [router.submit(r) for r in requests]
+                assert all(t.done for t in tickets)
+                answers.append(router.wait_all(tickets))
+            else:
+                answers.append([router.handle(r) for r in requests])
+        assert_same_answers(*answers)
+
+    def test_missing_pong_names_the_shard(self, requests):
+        router = make_router(config=ShardConfig(num_shards=2,
+                                                health_timeout_s=0.2))
+        router.runtimes[1].process = lambda message: []
+        with pytest.raises(RuntimeError, match="shard 1"):
+            router.worker_stats()
+
+
+# ----------------------------------------------------------------------
 # Span stitching
 # ----------------------------------------------------------------------
 class TestSpanStitching:
@@ -475,12 +574,15 @@ class TestProcessMode:
             parent_pid = __import__("os").getpid()
             pids = {s["pid"] for s in router.worker_stats()}
             assert len(pids) == 2 and parent_pid not in pids, (
-                "every shard must serve from its own process")
+                f"every shard must serve from its own process: worker "
+                f"pids {pids}, router pid {parent_pid}")
 
             for request in requests[:4]:
                 response = router.handle(request)
                 assert_valid(response, request)
-                assert response.model_version == "v001"
+                assert response.model_version == "v001", (
+                    f"served {response.model_version} "
+                    f"({response.degraded_reason}) before any swap")
 
             # Pipelined stream with a swap in the middle: versions must
             # be coherent and FIFO-monotonic per shard, nothing dropped.
@@ -493,23 +595,49 @@ class TestProcessMode:
             responses = router.wait_all([t for _, t in tickets])
             seen = {}
             for (shard, _), response in zip(tickets, responses):
-                assert response.model_version in ("v001", "v002")
+                assert response.model_version in ("v001", "v002"), (
+                    f"shard {shard} served {response.model_version} "
+                    f"({response.degraded_reason})")
                 if seen.get(shard) == "v002":
                     assert response.model_version == "v002", (
                         "a shard must never step back to the old "
                         "version after the swap drained")
                 seen[shard] = response.model_version
-            assert set(seen.values()) == {"v002"}
+            assert set(seen.values()) == {"v002"}, (
+                f"last version per shard after the swap: {seen}")
 
             victim = router.place(requests[0])
             router.kill_shard(victim)
             response = router.handle(requests[0])
             assert_valid(response, requests[0])
-            assert response.model_version == "v002"
-            assert router.shard_stats()[victim]["respawns"] == 1
-            assert sorted(router.alive_shards()) == [0, 1]
+            assert response.model_version == "v002", (
+                f"respawned shard {victim} served "
+                f"{response.model_version} ({response.degraded_reason})")
+            stats = router.shard_stats()
+            assert stats[victim]["respawns"] == 1, f"shard stats {stats}"
+            assert sorted(router.alive_shards()) == [0, 1], (
+                f"alive after respawn: {router.alive_shards()}")
         finally:
             router.shutdown()
+
+    def test_latency_exemplar_carries_the_trace_id(self, requests):
+        """Answers resolved on the collector thread still key their
+        latency exemplar by the request's trace, as inline ones do."""
+        metrics = MetricsRegistry()
+        collector = enable_tracing()
+        try:
+            router = ShardRouter(tiny_model(), version="v001",
+                                 config=ShardConfig(num_shards=1),
+                                 metrics=metrics, inline=False)
+            try:
+                router.handle(requests[0])
+            finally:
+                router.shutdown()
+        finally:
+            disable_tracing()
+        [root] = [r for r in collector.roots if r.name == "shard.route"]
+        entries = metrics.get("rtp_shard_latency_ms").exemplars(shard="0")
+        assert [e["trace_id"] for e in entries] == [root.trace_id]
 
     def test_sleep_latency_spec_reaches_workers(self, requests):
         router = ShardRouter(
@@ -527,9 +655,9 @@ class TestProcessMode:
 
 
 # ----------------------------------------------------------------------
-# SleepLatencyService unit behaviour
+# The modeled-latency shim as a worker sleeps it
 # ----------------------------------------------------------------------
-class TestSleepLatencyService:
+class TestModeledLatencyService:
     def test_one_charge_per_batch_and_delegation(self):
         sleeps = []
 
@@ -542,8 +670,8 @@ class TestSleepLatencyService:
 
             extra = "passthrough"
 
-        service = SleepLatencyService(Inner(), base_ms=10.0, seed=1,
-                                      sleeper=sleeps.append)
+        service = ModeledLatencyService(Inner(), sleeps.append, base_ms=10.0,
+                                        sigma=0.25, seed=1)
         assert service.handle("a") == ("one", "a")
         assert service.handle_batch(["b", "c"]) == [("many", "b"),
                                                     ("many", "c")]
@@ -559,8 +687,9 @@ class TestSleepLatencyService:
                 def handle(self, request):
                     return request
 
-            service = SleepLatencyService(Inner(), base_ms=10.0, seed=seed,
-                                          sleeper=sleeps.append)
+            service = ModeledLatencyService(Inner(), sleeps.append,
+                                            base_ms=10.0, sigma=0.25,
+                                            seed=seed)
             for _ in range(5):
                 service.handle(None)
             return sleeps
